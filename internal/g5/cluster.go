@@ -208,20 +208,15 @@ func (c *Cluster) ScaleRange() (min, max float64, ok bool) {
 func (c *Cluster) SetObserver(o *obs.Observer) { c.ob.Store(o) }
 
 // Counters returns the summed hardware activity of all shards — the
-// cluster's aggregate work, not its critical path.
+// cluster's aggregate work, not its critical path. The shards' integer
+// tallies are summed before conversion to seconds, so the totals do not
+// depend on which shard ran which batch.
 func (c *Cluster) Counters() Counters {
-	var total Counters
+	var total tally
 	for _, sh := range c.shards {
-		cnt := sh.sys.Counters()
-		total.Interactions += cnt.Interactions
-		total.PipeSeconds += cnt.PipeSeconds
-		total.BusSeconds += cnt.BusSeconds
-		total.BytesTransferred += cnt.BytesTransferred
-		total.Runs += cnt.Runs
-		total.JPasses += cnt.JPasses
-		total.RangeClamps += cnt.RangeClamps
+		total.add(sh.sys.cnt)
 	}
-	return total
+	return total.counters(c.cfg.Board)
 }
 
 // ResetCounters zeroes every shard's activity counters and the

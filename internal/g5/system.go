@@ -61,7 +61,7 @@ type System struct {
 	fault *faultInjector // nil without a fault model
 
 	obs *obs.Observer // nil without telemetry
-	cnt Counters
+	cnt tally
 
 	// compute scratch, reused across calls (a System is single-caller
 	// by contract): quantized i/j positions and rounded masses. With
@@ -91,8 +91,46 @@ func (s *System) Config() Config { return s.cfg }
 // flop and byte counters. A nil observer detaches.
 func (s *System) SetObserver(o *obs.Observer) { s.obs = o }
 
+// tally is the exact integer form of Counters. Every term the timing
+// model charges is a whole number of pipeline cycles, bus bytes or
+// calls, so the totals do not depend on the order concurrent callers
+// charge them in; Counters derives the seconds once, on read. Summing
+// float seconds per call instead made the last bit of the totals (and
+// so the checkpoint bytes) depend on walk-worker scheduling.
+type tally struct {
+	interactions int64
+	pipeCycles   int64 // board-clock cycles the pipelines streamed
+	bytes        int64 // host-interface traffic
+	runs         int64 // compute calls, each paying BusLatencyS once
+	jPasses      int64
+	clamps       int64
+}
+
+func (t *tally) add(o tally) {
+	t.interactions += o.interactions
+	t.pipeCycles += o.pipeCycles
+	t.bytes += o.bytes
+	t.runs += o.runs
+	t.jPasses += o.jPasses
+	t.clamps += o.clamps
+}
+
+// counters converts the tally to simulated seconds under cfg's clock
+// and bus parameters.
+func (t tally) counters(cfg Config) Counters {
+	return Counters{
+		Interactions:     t.interactions,
+		PipeSeconds:      float64(t.pipeCycles) / cfg.BoardClockHz,
+		BusSeconds:       float64(t.bytes)/cfg.BusBandwidth + float64(t.runs)*cfg.BusLatencyS,
+		BytesTransferred: t.bytes,
+		Runs:             t.runs,
+		JPasses:          t.jPasses,
+		RangeClamps:      t.clamps,
+	}
+}
+
 // Counters returns a snapshot of the activity counters.
-func (s *System) Counters() Counters { return s.cnt }
+func (s *System) Counters() Counters { return s.cnt.counters(s.cfg) }
 
 // ResetCounters zeroes the activity counters AND the observer-side
 // accumulation the system feeds: the simulated hardware phases
@@ -103,7 +141,7 @@ func (s *System) Counters() Counters { return s.cnt }
 // Phases and counters owned by other components (walk, guard,
 // recoveries) are left untouched.
 func (s *System) ResetCounters() {
-	s.cnt = Counters{}
+	s.cnt = tally{}
 	s.obs.ResetPhase(obs.PhaseJTransfer)
 	s.obs.ResetPhase(obs.PhaseITransfer)
 	s.obs.ResetPhase(obs.PhasePipeline)
@@ -342,7 +380,7 @@ func (s *System) quantizeInto(dst []vec.V3, pos []vec.V3) ([]vec.V3, error) {
 				return nil, fmt.Errorf("g5: position %v outside scale range [%v, %v)",
 					p, s.grid.Min, s.grid.Max)
 			}
-			s.cnt.RangeClamps++
+			s.cnt.clamps++
 		}
 		out[i] = vec.V3{X: qx, Y: qy, Z: qz}
 	}
@@ -368,16 +406,15 @@ func (s *System) charge(ni, nj int) { s.chargeOpt(ni, nj, true) }
 // chargeJBytes accounts a standalone j-particle upload (Driver.SetXMJ).
 func (s *System) chargeJBytes(nj int) {
 	bytes := int64(nj) * int64(s.cfg.BytesPerJ)
-	s.cnt.BytesTransferred += bytes
-	s.cnt.BusSeconds += float64(bytes) / s.cfg.BusBandwidth
+	s.cnt.bytes += bytes
 	s.obs.AddSeconds(obs.PhaseJTransfer, float64(bytes)/s.cfg.BusBandwidth)
 	s.obs.Add(obs.CntBytes, bytes)
 }
 
 func (s *System) chargeOpt(ni, nj int, chargeJ bool) {
 	c := &s.cnt
-	c.Runs++
-	c.Interactions += int64(ni) * int64(nj)
+	c.runs++
+	c.interactions += int64(ni) * int64(nj)
 
 	vp := s.cfg.VirtualPipesPerBoard()
 	boards := s.nActive // excluded boards carry no load
@@ -385,8 +422,8 @@ func (s *System) chargeOpt(ni, nj int, chargeJ bool) {
 
 	// j is processed in passes of at most the total particle memory.
 	passes := (nj + jmem - 1) / jmem
-	c.JPasses += int64(passes)
-	var pipeSec float64
+	c.jPasses += int64(passes)
+	var cycles int64
 	remaining := nj
 	for p := 0; p < passes; p++ {
 		chunk := remaining
@@ -398,9 +435,10 @@ func (s *System) chargeOpt(ni, nj int, chargeJ bool) {
 		// of vp particles, at the board clock.
 		perBoard := (chunk + boards - 1) / boards
 		iGroups := (ni + vp - 1) / vp
-		pipeSec += float64(iGroups) * float64(perBoard) / s.cfg.BoardClockHz
+		cycles += int64(iGroups) * int64(perBoard)
 	}
-	c.PipeSeconds += pipeSec
+	c.pipeCycles += cycles
+	pipeSec := float64(cycles) / s.cfg.BoardClockHz
 
 	iBytes := int64(ni) * int64(s.cfg.BytesPerI)
 	fBytes := int64(ni) * int64(s.cfg.BytesPerForce) * int64(boards)
@@ -409,8 +447,7 @@ func (s *System) chargeOpt(ni, nj int, chargeJ bool) {
 		jBytes = int64(nj) * int64(s.cfg.BytesPerJ)
 	}
 	bytes := iBytes + fBytes + jBytes
-	c.BytesTransferred += bytes
-	c.BusSeconds += float64(bytes)/s.cfg.BusBandwidth + s.cfg.BusLatencyS
+	c.bytes += bytes
 
 	// Telemetry: the paper's t_grape is the pipeline span; t_comm
 	// splits into the j upload, the i upload (which carries the fixed

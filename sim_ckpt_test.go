@@ -2,6 +2,8 @@ package grape5
 
 import (
 	"bytes"
+	"errors"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -236,4 +238,42 @@ func TestSimulationCheckpointStore(t *testing.T) {
 		t.Errorf("latest valid = gen %+v state step %d primed %v", gen, c.State.Step, c.State.Primed)
 	}
 	requireBitwiseEqual(t, sim.Sys, c.Sys)
+}
+
+// TestCheckpointBytesDeterministic: a fault-free run must serialise to
+// the same checkpoint bytes every time it is repeated, whatever order
+// the walk workers happened to charge the hardware timing model in and
+// whichever shard happened to run each batch. Served results and the
+// benchmark's byte-equality checks compare exactly these bytes.
+func TestCheckpointBytesDeterministic(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+	for _, tc := range []struct {
+		name   string
+		shards int
+	}{{"guarded", 0}, {"cluster2", 2}} {
+		t.Run(tc.name, func(t *testing.T) {
+			var first []byte
+			for rep := 0; rep < 5; rep++ {
+				sim, err := NewSimulation(Plummer(500, 1, 1, 1, 3), Config{
+					Theta: 0.6, Ncrit: 64, G: 1, Eps: 0.05, DT: 0.005,
+					Engine: EngineGRAPE5, Guard: true, Shards: tc.shards, Workers: 4,
+				})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := sim.Run(3); err != nil {
+					t.Fatal(err)
+				}
+				got, err := ckpt.Marshal(&ckpt.Checkpoint{State: sim.CheckpointState(), Sys: sim.Sys, Block: sim.blockState()})
+				if err := errors.Join(err, sim.Close()); err != nil {
+					t.Fatal(err)
+				}
+				if rep == 0 {
+					first = got
+				} else if !bytes.Equal(got, first) {
+					t.Fatalf("run %d serialised different checkpoint bytes than run 0 (state %+v)", rep, sim.CheckpointState())
+				}
+			}
+		})
+	}
 }
