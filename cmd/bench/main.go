@@ -49,7 +49,6 @@ func main() {
 		plumN    = flag.String("plummer-n", "4096", "comma-separated Plummer particle counts")
 		grid     = flag.Int("cosmo-grid", 32, "cosmology IC grid per dimension (power of two; 0 disables the cosmo sweep)")
 		seed     = flag.Uint64("seed", 1, "IC seed")
-		guard    = flag.Bool("guard", true, "route force batches through the fault-tolerant offload path")
 		boards   = flag.String("boards", "1", "comma-separated cluster shard counts K to sweep (K>1 drives the sharded multi-board engine; K=1 is always run first as the speedup reference)")
 	)
 	flag.Parse()
@@ -117,7 +116,6 @@ func main() {
 			seed:  *seed,
 			theta: *theta,
 			steps: *steps,
-			guard: *guard,
 			make: func() (*nbody.System, float64, float64, float64) {
 				return grape5.Plummer(n, 1, 1, 1, *seed), 1, 0.02, 0.005
 			},
@@ -135,7 +133,6 @@ func main() {
 			seed:  *seed,
 			theta: *theta,
 			steps: *steps,
-			guard: *guard,
 			make: func() (*nbody.System, float64, float64, float64) {
 				c, err := grape5.NewCosmoSphere(grape5.CosmoSphereParams{GridN: *grid, Seed: *seed}, 999)
 				if err != nil {
@@ -168,8 +165,7 @@ type sweepSpec struct {
 	seed   uint64
 	theta  float64
 	steps  int
-	guard  bool
-	shards int // cluster shard count K; <=1 runs the single-system path
+	shards int // GRAPE shard count K; <=1 runs one board system
 	make   func() (sys *nbody.System, g, eps, dt float64)
 }
 
@@ -237,10 +233,7 @@ func measurePoint(spec sweepSpec, ng int, host perf.HostModel) (_ obs.BenchPoint
 	sys, g, eps, dt := spec.make()
 	cfg := grape5.Config{
 		Theta: spec.theta, Ncrit: ng, G: g, Eps: eps, DT: dt,
-		Engine: grape5.EngineGRAPE5, Guard: spec.guard,
-	}
-	if spec.shards > 1 {
-		cfg.Shards = spec.shards
+		Engine: grape5.EngineGRAPE5, Shards: spec.shards,
 	}
 	sim, err := grape5.NewSimulation(sys, cfg)
 	if err != nil {

@@ -344,12 +344,17 @@ func crashResumeBitwise(t *testing.T, extra ...string) {
 	}
 }
 
-// TestE2EKillResumeAdaptiveBitwise: the shared adaptive-dt integrator
-// through the kill/resume gauntlet. The next dt is a pure function of
-// the restored accelerations, so a correctly restored checkpoint must
-// reproduce the uninterrupted trajectory exactly.
-func TestE2EKillResumeAdaptiveBitwise(t *testing.T) {
-	crashResumeBitwise(t, "-eta", "0.25", "-dtmin", "0.001")
+// TestE2EEtaWithoutBlocksRefused: -eta and -dtmin parameterise the
+// block scheduler only. Without -blocks they are flag errors, caught
+// before any work — there is no shared adaptive-dt mode to fall into.
+func TestE2EEtaWithoutBlocksRefused(t *testing.T) {
+	bin := binPath(t)
+	for _, extra := range [][]string{{"-eta", "0.25"}, {"-eta", "0.25", "-dtmin", "0.001"}, {"-dtmin", "0.001"}} {
+		out, code := run(t, bin, baseArgs(t.TempDir(), 4, extra...)...)
+		if code == 0 || !strings.Contains(out, "-blocks") {
+			t.Errorf("%v without -blocks not refused (exit %d):\n%s", extra, code, out)
+		}
+	}
 }
 
 // TestE2EKillResumeBlocksBitwise: hierarchical block timesteps through

@@ -176,13 +176,13 @@ func main() {
 		steps  = flag.Int("steps", 100, "total number of leapfrog steps (a resumed run continues to this count)")
 		dt     = flag.Float64("dt", 0, "timestep (0 = model default, or inherited on resume)")
 		blocks = flag.Int("blocks", 0, "hierarchical block-timestep rung levels (0 = shared dt); one step spans dtmin*2^(blocks-1)")
-		dtMin  = flag.Float64("dtmin", 0, "finest block timestep (-blocks), or the adaptive floor (-eta)")
-		eta    = flag.Float64("eta", 0, "timestep accuracy parameter; with -blocks the rung criterion, alone it selects the shared adaptive integrator")
+		dtMin  = flag.Float64("dtmin", 0, "finest block timestep (with -blocks)")
+		eta    = flag.Float64("eta", 0, "rung-criterion accuracy parameter (with -blocks)")
 		theta  = flag.Float64("theta", 0.75, "Barnes-Hut opening parameter")
 		ncrit  = flag.Int("ncrit", 2000, "modified-algorithm group bound n_g")
 		eps    = flag.Float64("eps", 0, "Plummer softening (0 = model default)")
 		engine = flag.String("engine", "grape5", "force engine: host, grape5, pm")
-		boards = flag.Int("boards", 1, "GRAPE shard count K: drive K independent board systems through the sharded cluster engine (grape5 engine only)")
+		boards = flag.Int("boards", 1, "GRAPE shard count K: drive K independent guarded board systems (grape5 engine only)")
 		pmGrid = flag.Int("pmgrid", 64, "particle-mesh size for -engine pm")
 		seed   = flag.Uint64("seed", 1, "random seed")
 		snap   = flag.String("snap", "", "snapshot filename pattern (printf with step), e.g. snap_%04d.g5")
@@ -202,8 +202,9 @@ func main() {
 		crashStep = flag.Int("crash-at-step", 0, "inject a crash after this many locally-executed steps (testing)")
 		crashMode = flag.String("crash-mode", "kill", "crash flavour: kill (os.Exit mid-run) or torn-ckpt (truncated checkpoint, then exit)")
 
-		// Fault injection and the fault-tolerant offload path (grape5
-		// engine only). Rates are per-hardware-call probabilities.
+		// Fault injection (grape5 engine only; every GRAPE run goes
+		// through the fault-tolerant offload path). Rates are
+		// per-hardware-call probabilities.
 		faultSeed   = flag.Uint64("fault-seed", 1, "fault injector seed (deterministic)")
 		faultFlip   = flag.Float64("fault-bitflip", 0, "j-memory bit-flip rate")
 		faultStuck  = flag.Float64("fault-stuck", 0, "stuck virtual-pipeline rate")
@@ -212,7 +213,6 @@ func main() {
 		failBoard   = flag.Int("fail-board", 0, "board (1-based) that dies mid-run; 0 = none")
 		failAfter   = flag.Int64("fail-after", 0, "hardware calls the failing board survives")
 		failSlot    = flag.Int("fail-slot", 0, "virtual-pipeline slot that sticks on the failing board")
-		guard       = flag.Bool("guard", false, "run the fault-tolerant offload path (verify, retry, degrade, fall back)")
 		checkForces = flag.Bool("check-forces", false, "recompute final forces with the host engine and report the RMS error")
 	)
 	flag.Parse()
@@ -233,13 +233,14 @@ func main() {
 	if setFlags["blocks"] && *blocks > 0 && !setFlags["dtmin"] {
 		log.Fatal("-blocks requires -dtmin (the finest rung timestep)")
 	}
-	if setFlags["dtmin"] && !setFlags["blocks"] && !setFlags["eta"] {
-		log.Fatal("-dtmin needs a scheduler: give -blocks (block timesteps) or -eta (adaptive dt)")
+	for _, name := range []string{"dtmin", "eta"} {
+		if setFlags[name] && !setFlags["blocks"] {
+			log.Fatalf("-%s needs -blocks: it parameterises the block-timestep scheduler", name)
+		}
 	}
 	if setFlags["blocks"] && *blocks > 0 && setFlags["dt"] {
 		log.Fatal("-dt conflicts with -blocks: the step is dtmin*2^(blocks-1); drop -dt")
 	}
-	adaptive := setFlags["eta"] && !(setFlags["blocks"] && *blocks > 0)
 	if *crashMode != "kill" && *crashMode != "torn-ckpt" {
 		log.Fatalf("unknown -crash-mode %q (want kill or torn-ckpt)", *crashMode)
 	}
@@ -261,9 +262,6 @@ func main() {
 			FailBoard:       *failBoard,
 			FailAfterRuns:   *failAfter,
 			FailSlot:        *failSlot,
-		}
-		if !*guard && *boards <= 1 {
-			fmt.Println("note: injecting faults without -guard; corruption goes undetected")
 		}
 	}
 
@@ -327,7 +325,7 @@ func main() {
 		// Overlay config: only explicitly-set flags; everything else
 		// inherits the checkpoint's fingerprint (ResumeConfig errors on
 		// any conflict).
-		overlay := grape5.Config{Guard: *guard, GuardPolicy: g5.GuardPolicy{}, GRAPE: hwCfg}
+		overlay := grape5.Config{GRAPE: hwCfg}
 		if setFlags["engine"] {
 			overlay.Engine = engKind
 		}
@@ -358,26 +356,25 @@ func main() {
 		if setFlags["eta"] {
 			overlay.Eta = *eta
 		}
-		overlay.Adaptive = adaptive
 		sim, err = grape5.ResumeSimulation(resumed, overlay)
 		if err != nil {
 			log.Fatal(err)
 		}
 	} else {
 		cfg := grape5.Config{Theta: *theta, Ncrit: *ncrit, Eps: *eps,
-			Engine: engKind, Guard: *guard, GRAPE: hwCfg,
-			Blocks: *blocks, DTMin: *dtMin, Eta: *eta, Adaptive: adaptive}
+			Engine: engKind, GRAPE: hwCfg,
+			Blocks: *blocks, DTMin: *dtMin, Eta: *eta}
 		if engKind == grape5.EnginePM {
 			cfg.PMGrid = *pmGrid
 		}
-		if (faultsOn || *guard) && engKind != grape5.EngineGRAPE5 {
-			log.Fatal("fault injection and -guard require -engine grape5")
+		if faultsOn && engKind != grape5.EngineGRAPE5 {
+			log.Fatal("fault injection requires -engine grape5")
 		}
 		if *boards > 1 {
 			if engKind != grape5.EngineGRAPE5 {
 				log.Fatal("-boards requires -engine grape5")
 			}
-			cfg.Shards = *boards // every shard runs guarded
+			cfg.Shards = *boards
 		}
 
 		var sys *grape5.System
@@ -452,8 +449,6 @@ func main() {
 	if cfg.Blocks > 0 {
 		fmt.Printf("block timesteps: %d rungs, dtmin=%.4g span=%.4g, occupancy=%v\n",
 			cfg.Blocks, cfg.DTMin, cfg.DT, sim.RungOccupancy())
-	} else if cfg.Adaptive {
-		fmt.Printf("adaptive dt: eta=%.3g ceiling=%.4g floor=%.4g\n", cfg.Eta, cfg.DT, cfg.DTMin)
 	}
 	fmt.Printf("initial energy: K=%.4g U=%.4g E=%.4g\n", e0.Kinetic, e0.Potential, e0.Total())
 	if sim.Steps() >= *steps {
@@ -614,35 +609,19 @@ func main() {
 			sim.RungOccupancy(), sim.LastReport.ActiveFrac, sim.LastReport.Substeps)
 	}
 
-	if c := sim.HardwareCounters(); c.Runs > 0 && sim.Config().Engine == grape5.EngineGRAPE5 {
-		cl := sim.Cluster()
-		var bCfg g5.Config
-		if cl != nil {
-			bCfg = cl.Config()
-		} else if hw := sim.Hardware(); hw != nil {
-			bCfg = hw.Config()
-		} else {
-			bCfg = g5.DefaultConfig()
-		}
-		k := 1
-		if cl != nil {
-			k = cl.Shards()
-		}
+	if c, cl := sim.HardwareCounters(), sim.Cluster(); c.Runs > 0 && cl != nil {
+		bCfg, k := cl.Config(), cl.Shards()
 		fmt.Printf("GRAPE-5: runs=%d j-passes=%d bytes=%.3g clamps=%d\n",
 			c.Runs, c.JPasses, float64(c.BytesTransferred), c.RangeClamps)
-		// For a cluster the shards drain concurrently: the aggregate
-		// pipe/bus seconds are total work, the critical path is wall.
-		wall := c.HWSeconds()
-		if cl != nil {
-			wall = cl.CriticalHWSeconds()
-		}
+		// The shards drain concurrently: the aggregate pipe/bus seconds
+		// are total work, the critical path is wall.
+		wall := cl.CriticalHWSeconds()
 		fmt.Printf("GRAPE-5 modelled time: pipe %.3gs + bus %.3gs = %.3gs aggregate (peak %.4g Gflops)\n",
 			c.PipeSeconds, c.BusSeconds, c.HWSeconds(), float64(k)*bCfg.PeakFlops()/1e9)
-		if cl != nil {
-			loads := cl.ShardInteractions()
+		if k > 1 {
 			fmt.Printf("cluster: K=%d shards, critical-path hardware time %.3gs, steals=%d\n",
 				k, wall, cl.Steals())
-			for s, ints := range loads {
+			for s, ints := range cl.ShardInteractions() {
 				fmt.Printf("  shard %d: interactions=%.3g batches=%d boards=%d/%d\n",
 					s, float64(ints), cl.ShardBatches()[s],
 					cl.ShardSystem(s).ActiveBoards(), bCfg.Boards)
@@ -664,12 +643,12 @@ func main() {
 	}
 	if rec := sim.Recovery(); rec != (g5.Recovery{}) {
 		fmt.Printf("recovery: %s\n", rec)
-		if cl := sim.Cluster(); cl != nil {
+		if cl := sim.Cluster(); cl != nil && cl.Shards() > 1 {
 			fmt.Printf("boards in service: %d of %d (across %d shards)\n",
 				cl.ActiveBoards(), cl.Shards()*cl.Config().Boards, cl.Shards())
-		} else if hw := sim.Hardware(); hw != nil {
+		} else if cl != nil {
 			fmt.Printf("boards in service: %d of %d\n",
-				hw.ActiveBoards(), hw.Config().Boards)
+				cl.ActiveBoards(), cl.Config().Boards)
 		}
 	}
 
@@ -677,7 +656,6 @@ func main() {
 		ref := sim.Sys.Clone()
 		refCfg := cfg
 		refCfg.Engine = grape5.EngineHost
-		refCfg.Guard = false
 		refCfg.Shards = 0
 		refCfg.GRAPE = g5.Config{}
 		refSim, err := grape5.NewSimulation(ref, refCfg)

@@ -22,6 +22,7 @@ func ExampleNewSimulation() {
 	if err != nil {
 		panic(err)
 	}
+	defer sim.Close()
 	if err := sim.Prime(); err != nil {
 		panic(err)
 	}

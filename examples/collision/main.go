@@ -59,6 +59,11 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
+	defer func() {
+		if err := sim.Close(); err != nil {
+			log.Printf("close: %v", err)
+		}
+	}()
 	if err := sim.Prime(); err != nil {
 		log.Fatal(err)
 	}

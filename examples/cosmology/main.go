@@ -47,6 +47,11 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
+	defer func() {
+		if err := sim.Close(); err != nil {
+			log.Printf("close: %v", err)
+		}
+	}()
 	for s := 1; s <= *steps; s++ {
 		if err := sim.Step(); err != nil {
 			log.Fatal(err)

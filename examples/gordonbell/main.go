@@ -43,6 +43,11 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
+	defer func() {
+		if err := sim.Close(); err != nil {
+			log.Printf("close: %v", err)
+		}
+	}()
 
 	host := perf.DS10()
 	var hostSeconds float64

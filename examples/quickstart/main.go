@@ -27,6 +27,11 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
+	defer func() {
+		if err := sim.Close(); err != nil {
+			log.Printf("close: %v", err)
+		}
+	}()
 
 	if err := sim.Prime(); err != nil {
 		log.Fatal(err)
@@ -47,7 +52,7 @@ func main() {
 		st.Groups, st.Interactions, st.AvgList())
 
 	c := sim.HardwareCounters()
-	cfg := sim.Hardware().Config()
+	cfg := sim.Cluster().Config()
 	fmt.Printf("GRAPE-5 totals: %.3g interactions in %.3f modelled hardware seconds\n",
 		float64(c.Interactions), c.HWSeconds())
 	fmt.Printf("hardware-side speed: %.2f Gflops of %.2f peak\n",

@@ -54,6 +54,11 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
+	defer func() {
+		if err := sim.Close(); err != nil {
+			log.Printf("close: %v", err)
+		}
+	}()
 	if err := sim.Run(*steps); err != nil {
 		log.Fatal(err)
 	}

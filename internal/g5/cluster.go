@@ -48,15 +48,19 @@ type clusterShard struct {
 	batches      atomic.Int64
 }
 
-// Cluster shards group force batches across K boards with asynchronous
-// double-buffering: Accumulate only STAGES work — it snapshots the
-// caller's j-list and queues the batch on the dispatcher — and returns
-// immediately, so the treecode's walk workers stream the next group's
-// list while shard workers drain earlier batches through
-// SetIP/Run/GetForce. Each per-shard lane holds the in-flight batch
-// plus the queued next one, which is exactly the double-buffer of the
-// real host library's asynchronous API. Flush is the step barrier: it
-// blocks until every staged batch has committed.
+// Cluster is the GRAPE offload path: K guarded board systems behind
+// one asynchronous, double-buffered queue. A single board is the K=1
+// case. Accumulate only STAGES work — it copies the caller's j-list
+// into a free staging slot and queues the batch on the dispatcher — and
+// returns, so the treecode's walk workers stream the next group's list
+// while shard workers drain earlier batches through SetIP/Run/GetForce.
+// Staging is bounded at 2·K j-sets, the in-flight batch plus the queued
+// next one per board — exactly the double-buffer of the real host
+// library's asynchronous API: when every slot is taken, Accumulate
+// waits until a shard drains a batch. The bound keeps the staged copies
+// (and so the heap) independent of how many groups a step emits. Flush
+// is the step barrier: it blocks until every staged batch has
+// committed.
 //
 // Sharding is along the i-axis at batch granularity: every field
 // particle's force is evaluated in full — whole j-list, one hardware
@@ -79,8 +83,8 @@ type Cluster struct {
 	cfg    ClusterConfig
 	shards []*clusterShard
 	disp   *dispatcher
-	jpool  sync.Pool // *jset staging copies
-	tpool  sync.Pool // *task chunk descriptors
+	free   chan *jset // idle staging slots; 2·K of them exist
+	tpool  sync.Pool  // *task chunk descriptors
 
 	tasks   sync.WaitGroup // staged chunks not yet committed
 	workers sync.WaitGroup // running shard goroutines
@@ -110,8 +114,14 @@ func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 	if cfg.G == 0 {
 		cfg.G = 1
 	}
-	c := &Cluster{cfg: cfg, disp: newDispatcher(cfg.Shards, cfg.Dispatch)}
-	c.jpool.New = func() any { return new(jset) }
+	c := &Cluster{
+		cfg:  cfg,
+		disp: newDispatcher(cfg.Shards, cfg.Dispatch),
+		free: make(chan *jset, 2*cfg.Shards),
+	}
+	for range 2 * cfg.Shards {
+		c.free <- new(jset)
+	}
 	c.tpool.New = func() any { return new(task) }
 	for k := 0; k < cfg.Shards; k++ {
 		bcfg := cfg.Board
@@ -292,16 +302,17 @@ func (c *Cluster) chunkSize(ni int) int {
 	return ni
 }
 
-// Accumulate implements core.Engine by staging the batch: the j-list is
-// copied (callers reuse their buffers immediately), the i-range is cut
-// into chunks, and each chunk is queued on a round-robin lane. Results
-// land in req.Acc/req.Pot no later than the next Flush.
+// Accumulate implements core.Engine by staging the batch: it waits for
+// a free staging slot, copies the j-list into it (callers reuse their
+// buffers immediately), cuts the i-range into chunks and queues each
+// chunk on a round-robin lane. Results land in req.Acc/req.Pot no
+// later than the next Flush.
 func (c *Cluster) Accumulate(req *core.Request) {
 	ni, nj := len(req.IPos), req.J.N
 	if ni == 0 || nj == 0 {
 		return
 	}
-	js := c.jpool.Get().(*jset)
+	js := <-c.free
 	js.j.CopyFrom(&req.J)
 
 	chunk := c.chunkSize(ni)
@@ -425,11 +436,11 @@ func (c *Cluster) run(k int, t *task) {
 	sh.batches.Add(1)
 }
 
-// releaseJ drops one chunk's reference to its staged j-set, recycling
-// the buffers when the batch's last chunk drains.
+// releaseJ drops one chunk's reference to its staged j-set, returning
+// the slot (buffers kept for reuse) when the batch's last chunk drains.
 func (c *Cluster) releaseJ(js *jset) {
 	if atomic.AddInt32(&js.refs, -1) == 0 {
-		c.jpool.Put(js)
+		c.free <- js
 	}
 }
 

@@ -12,7 +12,7 @@ package g5
 // BoardHealth is the service state of one physical board.
 type BoardHealth struct {
 	// Shard is the board's shard (board-system) index; 0 for a
-	// single-system installation.
+	// one-shard installation.
 	Shard int `json:"shard"`
 	// Board is the 0-based board index within the shard.
 	Board int `json:"board"`
@@ -25,8 +25,7 @@ type BoardHealth struct {
 // state: shard and board inventory, exclusions, and the cumulative
 // fault-handling counters behind them.
 type Health struct {
-	// Shards is the number of board systems (1 for a bare System or
-	// GuardedEngine, K for a Cluster).
+	// Shards is the number K of board systems in the Cluster.
 	Shards int `json:"shards"`
 	// BoardsTotal and BoardsActive count physical boards across all
 	// shards; Active < Total means the installation runs degraded.
@@ -55,29 +54,6 @@ func (s *System) boardHealth(shard int, out []BoardHealth) []BoardHealth {
 		out = append(out, BoardHealth{Shard: shard, Board: b, InService: !s.BoardExcluded(b)})
 	}
 	return out
-}
-
-// Health snapshots an unguarded system's board inventory. Recovery is
-// zero: without a guard there is no fault-handling activity to report.
-func (s *System) Health() Health {
-	return Health{
-		Shards:       1,
-		BoardsTotal:  s.cfg.Boards,
-		BoardsActive: s.ActiveBoards(),
-		Boards:       s.boardHealth(0, nil),
-	}
-}
-
-// Health snapshots the guarded single-system installation: board
-// inventory plus the guard's recovery counters. Call it between force
-// batches (the Simulation step loop's cadence); it must not race with
-// Accumulate.
-func (e *GuardedEngine) Health() Health {
-	rec := e.Recovery()
-	h := e.sys.Health()
-	h.Recovery = rec
-	h.HostOnly = rec.HostOnly
-	return h
 }
 
 // Health snapshots the whole cluster: every shard's board inventory,

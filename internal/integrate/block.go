@@ -24,10 +24,11 @@ type ActiveForceFunc func(s *nbody.System, activeByID []bool, nActive int) error
 // relative to the block span rather than a real workload.
 const maxRungLimit = 30
 
-// RungCriterion maps an acceleration to a power-of-two timestep rung,
-// generalizing TimestepCriterion from "one dt for the system" to "one
-// rung per particle" (Fukushige & Kawai's hierarchical block steps).
-// Rung k carries dt = DTMin·2^k; rung MaxRung spans the whole block.
+// RungCriterion maps an acceleration to a power-of-two timestep rung
+// from the softened-force criterion dt_i = η·sqrt(eps/|a_i|), one rung
+// per particle (Fukushige & Kawai's hierarchical block steps). Rung k
+// carries dt = DTMin·2^k; rung MaxRung spans the whole block. MaxRung 0
+// is a fixed shared step of DTMin.
 type RungCriterion struct {
 	// Eta is the dimensionless accuracy parameter (default 0.2).
 	Eta float64
@@ -62,7 +63,7 @@ func (c RungCriterion) Span() float64 { return c.DT(c.MaxRung) }
 // rungFor maps a finite acceleration norm to the largest rung whose
 // step fits under dt = η·sqrt(eps/|a|), floored at rung 0 (a particle
 // wanting a smaller step than DTMin runs at DTMin: the floor trades
-// accuracy for a bounded clock, exactly like TimestepCriterion.MinDT).
+// accuracy for a bounded clock).
 // The continuous dt is returned for telemetry. Callers guard
 // non-finite norms.
 func (c RungCriterion) rungFor(aNorm float64) (int, float64) {

@@ -19,6 +19,9 @@ type ForceFunc func(s *nbody.System) error
 // Leapfrog is the kick-drift-kick (velocity Verlet) integrator with a
 // fixed timestep: second order, symplectic, time-reversible — the
 // standard choice for collisionless N-body work then and now.
+// Simulations run a fixed step as BlockLeapfrog's one-rung schedule,
+// which is bitwise this integrator; Leapfrog stays as the reference the
+// block scheduler is tested against.
 type Leapfrog struct {
 	// DT is the timestep.
 	DT float64

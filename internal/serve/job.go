@@ -235,8 +235,8 @@ func resolveSpec(req JobRequest, b Budget) (JobSpec, error) {
 
 // SimConfig translates the spec into the simulation configuration the
 // runner and the standalone reference both use. G is 1 (model units).
-// A multi-board lease becomes a sharded cluster (bitwise-neutral, PR 3);
-// a single board runs the guarded single-system engine.
+// A board lease of K becomes K guarded GRAPE shards (bitwise-neutral in
+// K).
 func (s JobSpec) SimConfig() grape5.Config {
 	cfg := grape5.Config{
 		Theta: s.Theta,
@@ -249,8 +249,6 @@ func (s JobSpec) SimConfig() grape5.Config {
 		cfg.Engine = grape5.EngineGRAPE5
 		if s.Boards > 1 {
 			cfg.Shards = s.Boards
-		} else {
-			cfg.Guard = true
 		}
 	}
 	return cfg

@@ -62,22 +62,21 @@ type Config struct {
 	DT float64
 	// Engine selects host or GRAPE-5 force evaluation.
 	Engine EngineKind
-	// GRAPE configures the hardware when Engine is EngineGRAPE5; the
-	// zero value means g5.DefaultConfig (the paper's 2-board system).
-	// Set GRAPE.Fault to inject deterministic hardware faults.
+	// GRAPE configures each board system when Engine is EngineGRAPE5;
+	// the zero value means g5.DefaultConfig (the paper's 2-board
+	// system). Set GRAPE.Fault to inject deterministic hardware faults.
 	GRAPE g5.Config
-	// Guard routes EngineGRAPE5 force batches through the
-	// fault-tolerant offload path (acceptance checks, retries, board
-	// exclusion, host fallback) instead of the panic-on-error engine.
+	// Guard is accepted for compatibility and has no effect: every
+	// EngineGRAPE5 run goes through the fault-tolerant offload path
+	// (acceptance checks, retries, board exclusion, host fallback).
 	Guard bool
 	// GuardPolicy tunes the guard; the zero value selects defaults.
 	GuardPolicy g5.GuardPolicy
-	// Shards, when greater than 1, drives K independent GRAPE systems
-	// through the sharded cluster engine (g5.Cluster): group force
-	// batches are split across the boards and double-buffered so the
-	// host walk overlaps the hardware drain. Each shard is always
-	// guarded (Guard is implied; GuardPolicy applies per shard).
-	// 0 or 1 selects the single-system path.
+	// Shards is the number K of independent GRAPE systems the
+	// EngineGRAPE5 offload path (g5.Cluster) drives: group force
+	// batches are spread across the boards and double-buffered so the
+	// host walk overlaps the hardware drain. 0 and 1 both mean one
+	// system. Results do not depend on K.
 	Shards int
 	// PMGrid is the particle-mesh size per dimension for EnginePM
 	// (default 64; power of two).
@@ -93,41 +92,33 @@ type Config struct {
 	// integration with Blocks power-of-two rung levels: particle rungs
 	// k ∈ [0, Blocks-1] advance with dt = DTMin·2^k, and one Step spans
 	// the full block DTMin·2^(Blocks-1). DT, if set, must equal that
-	// span (unset inherits it). Blocks == 1 degenerates to the global
-	// leapfrog at DT = DTMin, bitwise. Mutually exclusive with Adaptive
-	// and EnginePM.
+	// span (unset inherits it). 0 selects a fixed shared DT, which runs
+	// as the one-rung block schedule (DTMin = DT); Blocks == 1 is that
+	// same schedule. Not supported with EnginePM.
 	Blocks int
-	// DTMin is the finest block timestep (required when Blocks > 0).
+	// DTMin is the finest block timestep (required when Blocks > 0,
+	// rejected otherwise).
 	DTMin float64
-	// Eta is the timestep accuracy parameter of the rung criterion
-	// (Blocks > 0) or the shared adaptive criterion (Adaptive); default
-	// 0.2.
+	// Eta is the accuracy parameter of the rung criterion (Blocks > 0);
+	// default 0.2.
 	Eta float64
-	// Adaptive selects the shared adaptive timestep integrator: every
-	// step uses dt = Eta·sqrt(Eps/|a|_max) clamped to [DTMin, DT]. DT
-	// acts as the ceiling, DTMin (optional) as the floor.
-	Adaptive bool
 	// ActiveRebuildFrac tunes the block-timestep tree rebuild policy:
 	// substeps whose active fraction reaches it rebuild, below it the
 	// cached tree is refreshed (default 0.5).
 	ActiveRebuildFrac float64
 }
 
-// Simulation couples a System to the treecode, a force engine and a
-// leapfrog integrator.
+// Simulation couples a System to the treecode, a force engine and the
+// block leapfrog integrator (a fixed DT is its one-rung schedule).
 type Simulation struct {
 	// Sys is the particle system (reordered into tree order by every
 	// force evaluation; identity is in Sys.ID).
 	Sys *System
 
 	cfg     Config
-	tc      *core.Treecode
-	hw      *g5.System                  // nil for host engine and cluster runs
-	guard   *g5.GuardedEngine           // nil unless Config.Guard
-	cluster *g5.Cluster                 // nil unless Config.Shards > 1
-	lf      *integrate.Leapfrog         // fixed-dt mode
-	bl      *integrate.BlockLeapfrog    // Config.Blocks > 0
-	al      *integrate.AdaptiveLeapfrog // Config.Adaptive
+	tc      *core.Treecode           // nil for EnginePM
+	cluster *g5.Cluster              // nil unless EngineGRAPE5
+	bl      *integrate.BlockLeapfrog // fixed DT runs with one rung
 	ob      *obs.Observer
 	time    float64
 	nsteps  int
@@ -154,7 +145,8 @@ type Simulation struct {
 }
 
 // NewSimulation builds a simulation over sys. sys is used in place (not
-// copied).
+// copied); its particle IDs must be dense in [0, N). An EngineGRAPE5
+// simulation owns shard goroutines: Close it when done.
 func NewSimulation(sys *System, cfg Config) (*Simulation, error) {
 	if sys == nil || sys.N() == 0 {
 		return nil, fmt.Errorf("grape5: empty system")
@@ -162,10 +154,10 @@ func NewSimulation(sys *System, cfg Config) (*Simulation, error) {
 	if err := sys.Validate(); err != nil {
 		return nil, err
 	}
+	if cfg.Blocks <= 0 && cfg.DTMin != 0 {
+		return nil, fmt.Errorf("grape5: DTMin %v is the finest block timestep; set Blocks too", cfg.DTMin)
+	}
 	if cfg.Blocks > 0 {
-		if cfg.Adaptive {
-			return nil, fmt.Errorf("grape5: Blocks and Adaptive are mutually exclusive")
-		}
 		if cfg.Engine == EnginePM {
 			return nil, fmt.Errorf("grape5: block timesteps are not supported with the PM engine")
 		}
@@ -211,38 +203,19 @@ func NewSimulation(sys *System, cfg Config) (*Simulation, error) {
 		if hwCfg.Boards == 0 {
 			hwCfg = g5.DefaultConfig()
 		}
-		if cfg.Shards > 1 {
-			cl, err := g5.NewCluster(g5.ClusterConfig{
-				Shards: cfg.Shards, Board: hwCfg,
-				G: cfg.G, Guard: cfg.GuardPolicy,
-			})
-			if err != nil {
-				return nil, err
-			}
-			if err := cl.SetEps(cfg.Eps); err != nil {
-				return nil, errors.Join(err, cl.Close())
-			}
-			cl.SetObserver(sim.ob)
-			sim.cluster = cl
-			engine = cl
-			break
-		}
-		hw, err := g5.NewSystem(hwCfg)
+		cl, err := g5.NewCluster(g5.ClusterConfig{
+			Shards: max(cfg.Shards, 1), Board: hwCfg,
+			G: cfg.G, Guard: cfg.GuardPolicy,
+		})
 		if err != nil {
 			return nil, err
 		}
-		if err := hw.SetEps(cfg.Eps); err != nil {
-			return nil, err
+		if err := cl.SetEps(cfg.Eps); err != nil {
+			return nil, errors.Join(err, cl.Close())
 		}
-		hw.SetObserver(sim.ob)
-		sim.hw = hw
-		if cfg.Guard {
-			sim.guard = g5.NewGuardedEngine(hw, cfg.G, cfg.GuardPolicy)
-			sim.guard.SetObserver(sim.ob)
-			engine = sim.guard
-		} else {
-			engine = g5.NewEngine(hw, cfg.G)
-		}
+		cl.SetObserver(sim.ob)
+		sim.cluster = cl
+		engine = cl
 	case EnginePM:
 		if cfg.PMGrid == 0 {
 			cfg.PMGrid = 64
@@ -257,34 +230,22 @@ func NewSimulation(sys *System, cfg Config) (*Simulation, error) {
 		sim.tc = core.New(opt, engine)
 	}
 
-	forceFn := sim.force
+	// A fixed DT is the one-rung schedule: every substep is a full-set
+	// kick-drift-kick at DTMin = DT, bitwise the fixed-dt leapfrog.
+	crit := integrate.RungCriterion{Eta: cfg.Eta, Eps: cfg.Eps, DTMin: cfg.DT}
+	if cfg.Blocks > 0 {
+		crit.DTMin, crit.MaxRung = cfg.DTMin, cfg.Blocks-1
+	}
+	force, forceActive := sim.force, sim.forceActive
 	if cfg.Engine == EnginePM {
-		forceFn = sim.forcePM
+		force, forceActive = sim.forcePM, nil
 	}
-	switch {
-	case cfg.Blocks > 0:
-		bl, err := integrate.NewBlockLeapfrog(integrate.RungCriterion{
-			Eta: cfg.Eta, Eps: cfg.Eps, DTMin: cfg.DTMin, MaxRung: cfg.Blocks - 1,
-		}, forceFn, sim.forceActive)
-		if err != nil {
-			return nil, err
-		}
-		bl.Workers = cfg.Workers
-		sim.bl = bl
-	case cfg.Adaptive:
-		sim.al = &integrate.AdaptiveLeapfrog{
-			Criterion: integrate.TimestepCriterion{
-				Eta: cfg.Eta, Eps: cfg.Eps, MaxDT: cfg.DT, MinDT: cfg.DTMin,
-			},
-			Force: forceFn,
-		}
-	default:
-		lf, err := integrate.NewLeapfrog(cfg.DT, forceFn)
-		if err != nil {
-			return nil, err
-		}
-		sim.lf = lf
+	bl, err := integrate.NewBlockLeapfrog(crit, force, forceActive)
+	if err != nil {
+		return nil, errors.Join(err, sim.Close())
 	}
+	bl.Workers = cfg.Workers
+	sim.bl = bl
 	return sim, nil
 }
 
@@ -314,7 +275,7 @@ func (sim *Simulation) forcePM(s *System) error {
 // current particle bounds, exactly like the real GRAPE library: the
 // sphere expands by ~25x over the headline run. No-op for host engines.
 func (sim *Simulation) setScaleWindow(s *System) error {
-	if sim.hw == nil && sim.cluster == nil {
+	if sim.cluster == nil {
 		return nil
 	}
 	cube := s.Bounds().Cube()
@@ -325,10 +286,7 @@ func (sim *Simulation) setScaleWindow(s *System) error {
 	// Margin for the drift within the step.
 	lo := min3(cube.Min.X-0.05*ext, cube.Min.Y-0.05*ext, cube.Min.Z-0.05*ext)
 	hi := max3(cube.Max.X+0.05*ext, cube.Max.Y+0.05*ext, cube.Max.Z+0.05*ext)
-	if sim.cluster != nil {
-		return sim.cluster.SetScale(lo, hi)
-	}
-	return sim.hw.SetScale(lo, hi)
+	return sim.cluster.SetScale(lo, hi)
 }
 
 // force is the integrator's ForceFunc: rescale the hardware if present,
@@ -389,16 +347,7 @@ func (sim *Simulation) Prime() error {
 	sim.ob.Reset()
 	a0 := obs.HeapAllocBytes()
 	t0 := time.Now()
-	var err error
-	switch {
-	case sim.bl != nil:
-		err = sim.bl.Prime(sim.Sys)
-	case sim.al != nil:
-		err = sim.al.Prime(sim.Sys)
-	default:
-		err = sim.lf.Prime(sim.Sys)
-	}
-	if err != nil {
+	if err := sim.bl.Prime(sim.Sys); err != nil {
 		return err
 	}
 	wall := time.Since(t0)
@@ -418,9 +367,9 @@ func (sim *Simulation) finishReport(step int, wall time.Duration) StepReport {
 	return r
 }
 
-// Step advances one step — a single leapfrog kick-drift-kick for the
-// fixed and adaptive integrators, or one full block of substeps
-// (simulation time += DTMin·2^(Blocks-1)) for block timesteps — and
+// Step advances one step — a single leapfrog kick-drift-kick at a fixed
+// DT, or one full block of substeps (simulation time +=
+// DTMin·2^(Blocks-1)) for block timesteps — and
 // snapshots the step's telemetry into LastReport, including the bytes
 // of heap allocated during the step (near zero in steady state: the
 // tree builder, walk workers and engines all run on reused arenas). A
@@ -430,26 +379,12 @@ func (sim *Simulation) Step() error {
 	sim.ob.Reset()
 	a0 := obs.HeapAllocBytes()
 	t0 := time.Now()
-	advance := sim.cfg.DT
-	switch {
-	case sim.bl != nil:
-		if err := sim.bl.Step(sim.Sys); err != nil {
-			return err
-		}
-	case sim.al != nil:
-		dt, err := sim.al.Step(sim.Sys)
-		if err != nil {
-			return err
-		}
-		advance = dt
-	default:
-		if err := sim.lf.Step(sim.Sys); err != nil {
-			return err
-		}
+	if err := sim.bl.Step(sim.Sys); err != nil {
+		return err
 	}
 	wall := time.Since(t0)
 	alloc := int64(obs.HeapAllocBytes() - a0)
-	sim.time += advance
+	sim.time += sim.cfg.DT
 	sim.nsteps++
 	sim.LastReport = sim.finishReport(sim.nsteps, wall)
 	sim.LastReport.BytesAlloc = alloc
@@ -477,23 +412,13 @@ func (sim *Simulation) Config() Config { return sim.cfg }
 func (sim *Simulation) Steps() int { return sim.nsteps }
 
 // RungOccupancy returns the per-rung particle counts of the block
-// scheduler (index k = rung k, dt = DTMin·2^k), or nil for fixed- and
-// adaptive-dt simulations. Valid after priming.
+// scheduler (index k = rung k, dt = DTMin·2^k), or nil for fixed-dt
+// simulations. Valid after priming.
 func (sim *Simulation) RungOccupancy() []int64 {
-	if sim.bl == nil {
+	if sim.cfg.Blocks == 0 {
 		return nil
 	}
 	return sim.bl.Occupancy()
-}
-
-// LastDT returns the timestep most recently applied: DT for the fixed
-// integrator, the block span for block runs, the adaptive criterion's
-// last pick otherwise.
-func (sim *Simulation) LastDT() float64 {
-	if sim.al != nil {
-		return sim.al.LastDT()
-	}
-	return sim.cfg.DT
 }
 
 // Energy returns the current energy using the engine-filled potentials
@@ -506,56 +431,43 @@ func (sim *Simulation) Energy() analysis.EnergyReport {
 // at every step boundary; use LastReport for completed-step telemetry.
 func (sim *Simulation) Observer() *obs.Observer { return sim.ob }
 
-// HardwareCounters returns the emulated GRAPE-5 activity counters —
-// summed across shards for cluster runs — or a zero value for
-// host-engine simulations. Totals are whole-run: a resumed simulation
-// reports the checkpointed base plus this process's activity.
+// HardwareCounters returns the emulated GRAPE-5 activity counters,
+// summed across shards, or a zero value for host and PM simulations.
+// Totals are whole-run: a resumed simulation reports the checkpointed
+// base plus this process's activity.
 func (sim *Simulation) HardwareCounters() g5.Counters {
 	live := g5.Counters{}
 	if sim.cluster != nil {
 		live = sim.cluster.Counters()
-	} else if sim.hw != nil {
-		live = sim.hw.Counters()
 	}
 	return sim.baseCounters.Add(live)
 }
 
-// Hardware returns the emulated GRAPE-5 system, or nil for host-engine
-// and cluster simulations (use Cluster for the latter).
-func (sim *Simulation) Hardware() *g5.System { return sim.hw }
-
-// Cluster returns the sharded cluster engine, or nil unless
-// Config.Shards > 1.
+// Cluster returns the GRAPE offload engine — K = max(Config.Shards, 1)
+// guarded board systems — or nil for host and PM simulations.
 func (sim *Simulation) Cluster() *g5.Cluster { return sim.cluster }
 
-// Recovery returns the guard's fault-handling counters — summed across
-// shards for cluster runs — or a zero value when the simulation does
-// not run a guarded offload path. Totals are whole-run (checkpointed
-// base plus this process); HostOnly reflects this process's hardware.
+// Recovery returns the guard's fault-handling counters, summed across
+// shards, or a zero value for host and PM simulations. Totals are
+// whole-run (checkpointed base plus this process); HostOnly reflects
+// this process's hardware.
 func (sim *Simulation) Recovery() g5.Recovery {
 	live := g5.Recovery{}
 	if sim.cluster != nil {
 		live = sim.cluster.Recovery()
-	} else if sim.guard != nil {
-		live = sim.guard.Recovery()
 	}
 	return sim.baseRecovery.Add(live)
 }
 
 // Health snapshots the simulation's hardware serving state: shard and
 // board inventory with guard exclusions and recovery counters (see
-// g5.Health). Host-engine simulations report a zero inventory that is
+// g5.Health). Host and PM simulations report a zero inventory that is
 // never degraded. Call it between steps — it must not race with Step.
 func (sim *Simulation) Health() g5.Health {
-	switch {
-	case sim.cluster != nil:
-		return sim.cluster.Health()
-	case sim.guard != nil:
-		return sim.guard.Health()
-	case sim.hw != nil:
-		return sim.hw.Health()
+	if sim.cluster == nil {
+		return g5.Health{}
 	}
-	return g5.Health{}
+	return sim.cluster.Health()
 }
 
 // FaultStats returns the injected-fault activity counters, or a zero
@@ -564,15 +476,12 @@ func (sim *Simulation) FaultStats() g5.FaultStats {
 	live := g5.FaultStats{}
 	if sim.cluster != nil {
 		live = sim.cluster.FaultStats()
-	} else if sim.hw != nil {
-		live = sim.hw.FaultStats()
 	}
 	return sim.baseFaults.Add(live)
 }
 
-// Close releases engine resources (the cluster's shard workers). It is
-// a no-op for single-system and host-engine simulations, and safe to
-// call more than once.
+// Close releases engine resources (the GRAPE shard workers). It is a
+// no-op for host and PM simulations, and safe to call more than once.
 func (sim *Simulation) Close() error {
 	if sim.cluster != nil {
 		return sim.cluster.Close()

@@ -76,21 +76,29 @@ func TestStepAllocs(t *testing.T) {
 }
 
 // TestStepAllocsGuarded extends the allocation gate to the guarded
-// GRAPE path: the SoA request staging (walk J-list, guard's probe
-// reference and AoS gather scratch, engine readback buffers) must all
-// reach steady state. The guard adds per-batch probe work but no
-// per-batch allocation: everything lives in pooled or mu-guarded
-// scratch that grows once and is reused.
-func TestStepAllocsGuarded(t *testing.T) {
+// GRAPE path: the SoA request staging (walk J-list, cluster staging
+// slots, guard's probe reference and AoS gather scratch, engine
+// readback buffers) must all reach steady state. The guard adds
+// per-batch probe work but no per-batch allocation: everything lives in
+// pooled or mu-guarded scratch that grows once and is reused.
+func TestStepAllocsGuarded(t *testing.T) { testStepAllocsGRAPE(t, 0) }
+
+// TestStepAllocsCluster is the same gate at K=2 shards: the bounded
+// staging slots (2·K j-sets, grown once to the largest list) keep the
+// cluster's per-batch j-list copies off the heap in steady state.
+func TestStepAllocsCluster(t *testing.T) { testStepAllocsGRAPE(t, 2) }
+
+func testStepAllocsGRAPE(t *testing.T, shards int) {
 	const n = 4096
 	sys := allocTestSystem(n)
 	sim, err := NewSimulation(sys, Config{
 		DT: 1e-3, G: 1, Eps: 0.01, Ncrit: 256, Workers: 2,
-		Engine: EngineGRAPE5, Guard: true,
+		Engine: EngineGRAPE5, Guard: true, Shards: shards,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer sim.Close()
 	if err := sim.Prime(); err != nil {
 		t.Fatal(err)
 	}
@@ -113,14 +121,14 @@ func TestStepAllocsGuarded(t *testing.T) {
 	// (a per-batch or per-particle leak at n=4096 would add >100 KB).
 	const byteBudget = 64_000
 	if bytesPerStep > byteBudget {
-		t.Fatalf("guarded steady-state Step allocates %d bytes, budget %d", bytesPerStep, byteBudget)
+		t.Fatalf("guarded steady-state Step (shards=%d) allocates %d bytes, budget %d", shards, bytesPerStep, byteBudget)
 	}
 	const budget = 300
 	if allocs > budget {
-		t.Fatalf("guarded steady-state Step allocates %.0f objects/run, budget %d", allocs, budget)
+		t.Fatalf("guarded steady-state Step (shards=%d) allocates %.0f objects/run, budget %d", shards, allocs, budget)
 	}
-	t.Logf("guarded steady-state Step: %.1f allocs/run, %d bytes/step (budgets %d, %d)",
-		allocs, bytesPerStep, budget, byteBudget)
+	t.Logf("guarded steady-state Step (shards=%d): %.1f allocs/run, %d bytes/step (budgets %d, %d)",
+		shards, allocs, bytesPerStep, budget, byteBudget)
 }
 
 // TestStepAllocsBlocks extends the allocation gate to block timesteps:

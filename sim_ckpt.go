@@ -20,6 +20,7 @@ package grape5
 // run whose injected faults are fully corrected by the guard).
 
 import (
+	"errors"
 	"fmt"
 
 	"repro/internal/ckpt"
@@ -48,38 +49,24 @@ func (sim *Simulation) Aux() RunAux { return sim.aux }
 
 // Primed reports whether the integrator holds valid post-force
 // accelerations (after Prime, a Step, or a primed resume).
-func (sim *Simulation) Primed() bool {
-	switch {
-	case sim.bl != nil:
-		return sim.bl.Primed()
-	case sim.al != nil:
-		return sim.al.Primed()
-	}
-	return sim.lf.Primed()
-}
+func (sim *Simulation) Primed() bool { return sim.bl.Primed() }
 
 // blockState assembles the version-2 RUNG scheduling state, or nil for
 // fixed-dt runs (whose checkpoints stay version 1, byte-identical to
-// the pre-block format).
+// the pre-block format: every rung is 0 and the clock is at a block
+// boundary, so there is nothing to record).
 func (sim *Simulation) blockState() *ckpt.BlockState {
-	switch {
-	case sim.bl != nil:
-		return &ckpt.BlockState{
-			Mode:    ckpt.ModeBlock,
-			Tick:    sim.bl.Tick(),
-			DTMin:   sim.cfg.DTMin,
-			Eta:     sim.cfg.Eta,
-			MaxRung: int64(sim.cfg.Blocks - 1),
-			Rungs:   sim.bl.Rungs(),
-		}
-	case sim.al != nil:
-		return &ckpt.BlockState{
-			Mode:  ckpt.ModeAdaptive,
-			DTMin: sim.cfg.DTMin,
-			Eta:   sim.cfg.Eta,
-		}
+	if sim.cfg.Blocks == 0 {
+		return nil
 	}
-	return nil
+	return &ckpt.BlockState{
+		Mode:    ckpt.ModeBlock,
+		Tick:    sim.bl.Tick(),
+		DTMin:   sim.cfg.DTMin,
+		Eta:     sim.cfg.Eta,
+		MaxRung: int64(sim.cfg.Blocks - 1),
+		Rungs:   sim.bl.Rungs(),
+	}
 }
 
 // CheckpointState assembles the scalar checkpoint state: step and time,
@@ -244,25 +231,23 @@ func ResumeConfig(st ckpt.State, cfg Config) (Config, error) {
 
 // mergeBlockConfig folds a checkpoint's RUNG scheduling state into the
 // caller's config under the same inherit-or-conflict rules as the
-// scalar fingerprint. Scheduling mode cannot change mid-run: a block or
-// adaptive checkpoint rejects a caller demanding the other mode, and a
-// version-1 checkpoint (no Block) rejects any caller demanding either —
-// the trajectory past the checkpoint would not be the checkpointed
-// run's.
+// scalar fingerprint. Scheduling mode cannot change mid-run: a
+// version-1 checkpoint (no Block) rejects a caller demanding block
+// timesteps — the trajectory past the checkpoint would not be the
+// checkpointed run's. A shared adaptive-dt checkpoint, written by
+// releases that still had that integrator, is refused outright rather
+// than resumed under a different schedule.
 func mergeBlockConfig(b *ckpt.BlockState, cfg Config) (Config, error) {
 	out := cfg
 	if b == nil {
-		if cfg.Blocks > 0 || cfg.Adaptive {
-			return Config{}, fmt.Errorf("grape5: cannot switch to block/adaptive timesteps mid-run: checkpoint was taken with a fixed shared dt")
+		if cfg.Blocks > 0 {
+			return Config{}, fmt.Errorf("grape5: cannot switch to block timesteps mid-run: checkpoint was taken with a fixed shared dt")
 		}
 		return out, nil
 	}
 	var err error
 	switch b.Mode {
 	case ckpt.ModeBlock:
-		if cfg.Adaptive {
-			return Config{}, fmt.Errorf("grape5: cannot switch to adaptive dt mid-run: checkpoint uses block timesteps")
-		}
 		var v int64
 		if v, err = mergeInt("blocks", b.MaxRung+1, int64(cfg.Blocks)); err != nil {
 			return Config{}, err
@@ -272,13 +257,7 @@ func mergeBlockConfig(b *ckpt.BlockState, cfg Config) (Config, error) {
 			return Config{}, err
 		}
 	case ckpt.ModeAdaptive:
-		if cfg.Blocks > 0 {
-			return Config{}, fmt.Errorf("grape5: cannot switch to block timesteps mid-run: checkpoint uses adaptive dt")
-		}
-		out.Adaptive = true
-		if out.DTMin, err = mergeFloat("dtmin", b.DTMin, cfg.DTMin); err != nil {
-			return Config{}, err
-		}
+		return Config{}, fmt.Errorf("grape5: checkpoint was written in shared adaptive-dt mode, which is no longer supported; it cannot be resumed as a fixed-dt or block run")
 	default:
 		return Config{}, fmt.Errorf("grape5: checkpoint has unknown scheduling mode %d", b.Mode)
 	}
@@ -338,29 +317,26 @@ func ResumeSimulation(c *ckpt.Checkpoint, cfg Config) (*Simulation, error) {
 		BusErrors:      st.FaultBusErrors,
 		Transients:     st.FaultTransients,
 	}
-	switch {
-	case sim.bl != nil:
-		if err := sim.bl.SetState(c.Block.Rungs, c.Block.Tick); err != nil {
-			return nil, fmt.Errorf("grape5: resuming block scheduler: %w", err)
+	// A fixed-dt (version-1) checkpoint has every particle on rung 0 at
+	// a block boundary.
+	rungs, tick := make([]uint8, c.Sys.N()), int64(0)
+	if c.Block != nil {
+		rungs, tick = c.Block.Rungs, c.Block.Tick
+	}
+	if err := sim.bl.SetState(rungs, tick); err != nil {
+		return nil, errors.Join(fmt.Errorf("grape5: resuming block scheduler: %w", err), sim.Close())
+	}
+	sim.bl.SetPrimed(st.Primed)
+	if st.Primed && sim.cfg.Blocks > 0 {
+		// The uninterrupted run's next substep starts from a cached
+		// tree (built at the last full-set rebuild and refreshed
+		// since). The checkpointed system is already Morton-sorted, so
+		// one deterministic rebuild reproduces exactly that tree and
+		// the resumed run stays on the same refresh-vs-rebuild
+		// schedule, keeping the trajectory bitwise.
+		if err := sim.tc.PrimeTree(sim.Sys); err != nil {
+			return nil, errors.Join(fmt.Errorf("grape5: priming tree for block resume: %w", err), sim.Close())
 		}
-		sim.bl.SetPrimed(st.Primed)
-		if st.Primed {
-			// The uninterrupted run's next substep starts from a cached
-			// tree (built at the last full-set rebuild and refreshed
-			// since). The checkpointed system is already Morton-sorted, so
-			// one deterministic rebuild reproduces exactly that tree and
-			// the resumed run stays on the same refresh-vs-rebuild
-			// schedule, keeping the trajectory bitwise.
-			if err := sim.tc.PrimeTree(sim.Sys); err != nil {
-				return nil, fmt.Errorf("grape5: priming tree for block resume: %w", err)
-			}
-		}
-	case sim.al != nil:
-		// Adaptive resume is bitwise for free: the next dt is a pure
-		// function of the restored accelerations.
-		sim.al.SetPrimed(st.Primed)
-	default:
-		sim.lf.SetPrimed(st.Primed)
 	}
 	return sim, nil
 }

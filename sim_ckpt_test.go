@@ -277,3 +277,31 @@ func TestCheckpointBytesDeterministic(t *testing.T) {
 		})
 	}
 }
+
+// TestResumeRejectsAdaptiveCheckpoint: a checkpoint written in the
+// retired shared adaptive-dt mode must be refused with an error that
+// names that mode — never resumed as a fixed-dt or block run, whose
+// trajectory past the checkpoint would not be the checkpointed run's.
+func TestResumeRejectsAdaptiveCheckpoint(t *testing.T) {
+	sim, err := NewSimulation(Plummer(128, 1, 1, 1, 4), Config{Theta: 0.6, Ncrit: 64, G: 1, Eps: 0.05, DT: 0.005})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := sim.Run(2); err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	adaptive := &ckpt.BlockState{Mode: ckpt.ModeAdaptive, DTMin: 0.001, Eta: 0.25}
+	if err := ckpt.Write(&buf, &ckpt.Checkpoint{State: sim.CheckpointState(), Sys: sim.Sys, Block: adaptive}); err != nil {
+		t.Fatal(err)
+	}
+	c, err := ckpt.Read(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, cfg := range []Config{{}, {Blocks: 4, DTMin: 0.000625}} {
+		if _, err := ResumeSimulation(c, cfg); err == nil || !strings.Contains(err.Error(), "adaptive") {
+			t.Errorf("adaptive checkpoint resumed with %+v: err = %v", cfg, err)
+		}
+	}
+}

@@ -6,9 +6,10 @@ import (
 )
 
 // TestSimulationClusterMatchesSingle: a Shards=2 simulation must evolve
-// bitwise the same trajectory as the single guarded system — the
-// cluster shards along the i-axis only, so no reduction order changes
-// and the integrator sees identical forces every step.
+// bitwise the same trajectory as a single guarded system (Shards=0, a
+// one-shard cluster) — the cluster shards along the i-axis only, so no
+// reduction order changes and the integrator sees identical forces
+// every step.
 func TestSimulationClusterMatchesSingle(t *testing.T) {
 	mk := func(shards int) *Simulation {
 		s := Plummer(256, 1, 1, 1, 9)
@@ -35,8 +36,8 @@ func TestSimulationClusterMatchesSingle(t *testing.T) {
 	if cl := clustered.Cluster(); cl == nil || cl.Shards() != 2 {
 		t.Fatal("Shards=2 simulation did not build a 2-shard cluster")
 	}
-	if single.Cluster() != nil {
-		t.Error("single-system simulation reports a cluster")
+	if cl := single.Cluster(); cl == nil || cl.Shards() != 1 {
+		t.Error("Shards=0 simulation did not build a one-shard cluster")
 	}
 	for i := 0; i < single.Sys.N(); i++ {
 		if single.Sys.Pos[i] != clustered.Sys.Pos[i] || single.Sys.Vel[i] != clustered.Sys.Vel[i] {

@@ -57,7 +57,7 @@ func TestSimulationHostEnergyConservation(t *testing.T) {
 	if sim.TotalInteractions == 0 || sim.LastStats.N != 400 {
 		t.Errorf("stats not recorded: %+v", sim.LastStats)
 	}
-	if sim.Hardware() != nil {
+	if sim.Cluster() != nil {
 		t.Error("host simulation reports hardware")
 	}
 }
@@ -92,7 +92,7 @@ func TestSimulationGRAPEEnergyConservation(t *testing.T) {
 	if c.HWSeconds() <= 0 {
 		t.Error("no simulated hardware time")
 	}
-	if sim.Hardware() == nil {
+	if sim.Cluster() == nil {
 		t.Error("GRAPE simulation lost its hardware")
 	}
 }
