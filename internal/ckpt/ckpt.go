@@ -74,8 +74,9 @@ const (
 
 // Scheduling modes stored in BlockState.Mode.
 const (
-	// ModeAdaptive is shared adaptive dt (TimestepCriterion): no
-	// per-particle rungs, the criterion scalars alone.
+	// ModeAdaptive is shared adaptive dt: no per-particle rungs, the
+	// criterion scalars alone. Older releases wrote it; the format still
+	// reads it so that resume can refuse such a checkpoint by name.
 	ModeAdaptive = 1
 	// ModeBlock is hierarchical block timesteps: per-particle rungs and
 	// the block tick clock.

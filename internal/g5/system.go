@@ -94,9 +94,9 @@ func (s *System) SetObserver(o *obs.Observer) { s.obs = o }
 // tally is the exact integer form of Counters. Every term the timing
 // model charges is a whole number of pipeline cycles, bus bytes or
 // calls, so the totals do not depend on the order concurrent callers
-// charge them in; Counters derives the seconds once, on read. Summing
-// float seconds per call instead made the last bit of the totals (and
-// so the checkpoint bytes) depend on walk-worker scheduling.
+// charge them in; Counters derives the seconds once, on read. (Float
+// seconds summed per call would make the last bit of the totals, and so
+// the checkpoint bytes, depend on walk-worker scheduling.)
 type tally struct {
 	interactions int64
 	pipeCycles   int64 // board-clock cycles the pipelines streamed
