@@ -61,10 +61,13 @@ bench-alloc:
 # benchdiff is built BEFORE the benchmark runs and the samples staged
 # through a file: piping into `go run` would compile the tool
 # concurrently with the benchmark and perturb the early samples on
-# small machines.
+# small machines. The emulator kernel benchmarks then run once each:
+# go test builds benchmarks but never runs them, so this catches one
+# that fails at run time.
 bench-host: $(BIN)/benchdiff
 	$(GO) test -run '^$$' -bench 'MACBatch|HostP2P|GuardCheck' -count=10 ./internal/hostk > $(BIN)/bench-host.txt
 	$(BIN)/benchdiff -require MACBatch -factor 1.3 < $(BIN)/bench-host.txt
+	$(GO) test -run '^$$' -bench . -benchtime 1x ./internal/g5
 
 $(BIN)/benchdiff: $(wildcard cmd/benchdiff/*.go)
 	$(GO) build -o $@ ./cmd/benchdiff

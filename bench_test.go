@@ -108,28 +108,6 @@ func BenchmarkHostKernel(b *testing.B) {
 	b.ReportMetric(float64(ni*nj*b.N)/b.Elapsed().Seconds(), "interactions/s")
 }
 
-// BenchmarkG5Kernel measures the emulated GRAPE-5 pipeline rate (the
-// reduced-precision arithmetic is the cost of functional fidelity).
-func BenchmarkG5Kernel(b *testing.B) {
-	const ni, nj = 96, 2000
-	req := kernelRequest(ni, nj)
-	sys, err := g5.NewSystem(g5.DefaultConfig())
-	if err != nil {
-		b.Fatal(err)
-	}
-	if err := sys.SetScale(-100, 100); err != nil {
-		b.Fatal(err)
-	}
-	sys.SetEps(0.01)
-	e := g5.NewEngine(sys, 1)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		e.Accumulate(req)
-	}
-	b.ReportMetric(float64(ni*nj*b.N)/b.Elapsed().Seconds(), "interactions/s")
-	b.ReportMetric(sys.Counters().HWSeconds(), "modelled-hw-s")
-}
-
 func kernelRequest(ni, nj int) *core.Request {
 	r := rng.New(9)
 	req := &core.Request{
@@ -239,15 +217,18 @@ func treeError(b *testing.B, model, ref *nbody.System, hw bool) float64 {
 	s := model.Clone()
 	var engine core.Engine
 	if hw {
-		sys, err := g5.NewSystem(g5.DefaultConfig())
+		cl, err := g5.NewCluster(g5.ClusterConfig{Board: g5.DefaultConfig(), G: 1})
 		if err != nil {
 			b.Fatal(err)
 		}
-		if err := sys.SetScale(-20, 20); err != nil {
+		defer cl.Close()
+		if err := cl.SetScale(-20, 20); err != nil {
 			b.Fatal(err)
 		}
-		sys.SetEps(0.01)
-		engine = g5.NewEngine(sys, 1)
+		if err := cl.SetEps(0.01); err != nil {
+			b.Fatal(err)
+		}
+		engine = cl
 	}
 	tc := core.New(core.Options{Theta: 0.75, Ncrit: 256, G: 1, Eps: 0.01}, engine)
 	if _, err := tc.ComputeForces(s); err != nil {
@@ -517,27 +498,6 @@ func benchWorkers(b *testing.B, w int) {
 			b.Fatal(err)
 		}
 	}
-}
-
-// Precision ablation: full-precision pipeline configuration vs the
-// GRAPE-5 reduced-precision default (functional emulation cost).
-func BenchmarkAblationPipelinePrecision(b *testing.B) {
-	cfg := g5.DefaultConfig()
-	cfg.PosBits, cfg.MassBits, cfg.R2Bits, cfg.PipeBits = 52, 52, 52, 52
-	req := kernelRequest(96, 2000)
-	sys, err := g5.NewSystem(cfg)
-	if err != nil {
-		b.Fatal(err)
-	}
-	if err := sys.SetScale(-100, 100); err != nil {
-		b.Fatal(err)
-	}
-	e := g5.NewEngine(sys, 1)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		e.Accumulate(req)
-	}
-	b.ReportMetric(float64(96*2000*b.N)/b.Elapsed().Seconds(), "interactions/s")
 }
 
 // ---------------------------------------------------------------------

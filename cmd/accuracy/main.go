@@ -127,21 +127,26 @@ func runTree(model, ref *nbody.System, theta float64, ncrit int, eps float64, hw
 	s := model.Clone()
 	var engine core.Engine
 	if hw {
-		sys, err := g5.NewSystem(g5.DefaultConfig())
+		cl, err := g5.NewCluster(g5.ClusterConfig{Board: g5.DefaultConfig(), G: 1})
 		if err != nil {
 			log.Fatal(err)
 		}
+		defer func() {
+			if err := cl.Close(); err != nil {
+				log.Fatal(err)
+			}
+		}()
 		b := s.Bounds().Cube()
 		ext := b.MaxEdge()
 		lo := math.Min(b.Min.X, math.Min(b.Min.Y, b.Min.Z)) - 0.05*ext
 		hi := math.Max(b.Max.X, math.Max(b.Max.Y, b.Max.Z)) + 0.05*ext
-		if err := sys.SetScale(lo, hi); err != nil {
+		if err := cl.SetScale(lo, hi); err != nil {
 			log.Fatal(err)
 		}
-		if err := sys.SetEps(eps); err != nil {
+		if err := cl.SetEps(eps); err != nil {
 			log.Fatal(err)
 		}
-		engine = g5.NewEngine(sys, 1)
+		engine = cl
 	}
 	tc := core.New(core.Options{Theta: theta, Ncrit: ncrit, G: 1, Eps: eps}, engine)
 	if _, err := tc.ComputeForces(s); err != nil {

@@ -196,31 +196,35 @@ func reportDegraded(host perf.HostModel, theta float64, seed uint64) {
 	sys := grape5.Plummer(4000, 1, 1, 1, seed)
 	fCfg := g5.DefaultConfig()
 	fCfg.Fault = &g5.FaultModel{Seed: 7, FailBoard: 2, FailAfterRuns: 200, FailSlot: 11}
-	hw, err := g5.NewSystem(fCfg)
+	cl, err := g5.NewCluster(g5.ClusterConfig{Board: fCfg, G: 1})
 	if err != nil {
 		log.Fatal(err)
 	}
-	if err := hw.SetEps(0.02); err != nil {
+	defer func() {
+		if err := cl.Close(); err != nil {
+			log.Fatal(err)
+		}
+	}()
+	if err := cl.SetEps(0.02); err != nil {
 		log.Fatal(err)
 	}
-	eng := g5.NewGuardedEngine(hw, 1, g5.GuardPolicy{})
-	tc := core.New(core.Options{Theta: theta, Ncrit: 500, G: 1, Eps: 0.02}, eng)
+	tc := core.New(core.Options{Theta: theta, Ncrit: 500, G: 1, Eps: 0.02}, cl)
 	for step := 1; step <= 6; step++ {
 		b := sys.Bounds().Cube()
 		ext := b.MaxEdge()
-		if err := hw.SetScale(b.Min.X-0.05*ext, b.Max.X+0.05*ext); err != nil {
+		if err := cl.SetScale(b.Min.X-0.05*ext, b.Max.X+0.05*ext); err != nil {
 			log.Fatal(err)
 		}
-		hw.ResetCounters()
+		cl.ResetCounters()
 		st, err := tc.ComputeForces(sys)
 		if err != nil {
 			log.Fatal(err)
 		}
-		rep := perf.ModelStepRecovery(host, st, hw.Counters(), eng.Recovery())
+		rep := perf.ModelStep(host, st, cl.Counters())
 		fmt.Printf("step %d: boards=%d pipe=%.4gs bus=%.4gs  %s\n",
-			step, hw.ActiveBoards(), rep.PipeSeconds, rep.BusSeconds, rep.Recovery)
+			step, cl.ActiveBoards(), rep.PipeSeconds, rep.BusSeconds, cl.Recovery())
 	}
-	fs := hw.FaultStats()
+	fs := cl.FaultStats()
 	fmt.Printf("injected faults: bitflips=%d stuck-pipe-calls=%d bus=%d transient=%d\n",
 		fs.JMemBitFlips, fs.StuckPipeCalls, fs.BusErrors, fs.Transients)
 }

@@ -74,10 +74,15 @@ func main() {
 
 	// --- Treecode + GRAPE-5 -------------------------------------------
 	tree := s.Clone()
-	hw, err := g5.NewSystem(g5.DefaultConfig())
+	hw, err := g5.NewCluster(g5.ClusterConfig{Board: g5.DefaultConfig(), G: grape5.G})
 	if err != nil {
 		log.Fatal(err)
 	}
+	defer func() {
+		if err := hw.Close(); err != nil {
+			log.Fatal(err)
+		}
+	}()
 	cube := tree.Bounds().Cube()
 	ext := cube.MaxEdge()
 	lo := math.Min(cube.Min.X, math.Min(cube.Min.Y, cube.Min.Z)) - 0.05*ext
@@ -89,7 +94,7 @@ func main() {
 		log.Fatal(err)
 	}
 	t0 = time.Now()
-	tc := core.New(core.Options{Theta: 0.75, Ncrit: 256, G: grape5.G, Eps: soft}, g5.NewEngine(hw, grape5.G))
+	tc := core.New(core.Options{Theta: 0.75, Ncrit: 256, G: grape5.G, Eps: soft}, hw)
 	if _, err := tc.ComputeForces(tree); err != nil {
 		log.Fatal(err)
 	}

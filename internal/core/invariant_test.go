@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"sync"
 	"testing"
 	"testing/quick"
 
@@ -90,19 +91,25 @@ func TestOriginalWalkMassConservation(t *testing.T) {
 	}
 }
 
+// perParticleAudit is called from the walk's worker goroutines, so its
+// tallies are locked like any core.Engine's state.
 type perParticleAudit struct {
-	want  float64
-	tol   float64
+	want float64
+	tol  float64
+
+	mu    sync.Mutex
 	bad   int
 	calls int
 }
 
 func (e *perParticleAudit) Accumulate(req *Request) {
-	e.calls++
 	var m float64
 	for _, mj := range req.J.M[:req.J.N] {
 		m += mj
 	}
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	e.calls++
 	if math.Abs(m-e.want) > e.tol*(1+e.want) {
 		e.bad++
 	}

@@ -8,7 +8,6 @@ import (
 	"testing"
 
 	"repro/internal/core"
-	"repro/internal/g5"
 	"repro/internal/nbody"
 	"repro/internal/rng"
 )
@@ -87,72 +86,5 @@ func TestTraversalStatsRegression(t *testing.T) {
 			t.Errorf("avg list not increasing with n_g: %.1f after %.1f", st.AvgList(), prevAvg)
 		}
 		prevAvg = st.AvgList()
-	}
-}
-
-// TestClusterShardBalanceRegression pins the per-board load balance of
-// the sharded offload at the paper-scale operating point (N=4096
-// Plummer, n_g=2000, theta=0.75 — the 8-group golden case above). With
-// round-robin dispatch, one walk worker and a fixed chunk size the
-// assignment is a pure function of traversal order, so the balance is
-// a golden property of the chunking policy: no board may carry 20%
-// more pairwise interactions than another, and every interaction the
-// traversal emits must land on exactly one board.
-func TestClusterShardBalanceRegression(t *testing.T) {
-	const (
-		n, ng  = 4096, 2000
-		theta  = 0.75
-		groups = 8
-		golden = int64(7729413)
-	)
-	for _, shards := range []int{2, 4} {
-		cl, err := g5.NewCluster(g5.ClusterConfig{
-			Shards:   shards,
-			Board:    g5.DefaultConfig(),
-			G:        1,
-			Dispatch: g5.DispatchRoundRobin, // pinned lanes: deterministic loads
-			ChunkI:   96,                    // one virtual-pipeline load per chunk
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer cl.Close()
-		if err := cl.SetScale(-40, 40); err != nil {
-			t.Fatal(err)
-		}
-		if err := cl.SetEps(0.02); err != nil {
-			t.Fatal(err)
-		}
-
-		s := nbody.Plummer(n, 1, 1, 1, rng.New(1))
-		tree := core.New(core.Options{Theta: theta, Ncrit: ng, G: 1, Eps: 0.02, Workers: 1}, cl)
-		st, err := tree.ComputeForces(s)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if st.Groups != groups || st.Interactions != golden {
-			t.Fatalf("traversal drifted from golden: groups=%d interactions=%d", st.Groups, st.Interactions)
-		}
-
-		loads := cl.ShardInteractions()
-		var total, minL, maxL int64
-		minL = loads[0]
-		for _, l := range loads {
-			total += l
-			minL = min(minL, l)
-			maxL = max(maxL, l)
-		}
-		if total != st.Interactions {
-			t.Errorf("K=%d: shard loads sum to %d, traversal emitted %d", shards, total, st.Interactions)
-		}
-		if minL == 0 {
-			t.Fatalf("K=%d: idle board (loads %v)", shards, loads)
-		}
-		if ratio := float64(maxL) / float64(minL); ratio >= 1.2 {
-			t.Errorf("K=%d: board load imbalance %.3f >= 1.2 (loads %v)", shards, ratio, loads)
-		}
-		if cl.Steals() != 0 {
-			t.Errorf("K=%d: %d steals under pinned round-robin dispatch", shards, cl.Steals())
-		}
 	}
 }

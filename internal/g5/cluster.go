@@ -27,13 +27,6 @@ type ClusterConfig struct {
 	// is guarded — a cluster without acceptance checks would silently
 	// blend corrupt and clean shards.
 	Guard GuardPolicy
-	// Dispatch selects the chunk scheduling policy (work stealing by
-	// default; round-robin pinning for deterministic load accounting).
-	Dispatch DispatchPolicy
-	// ChunkI overrides the i-chunk size (0 = whole batches: each group's
-	// force batch runs as one hardware call on one shard, so the j-list
-	// is never replicated across boards; see chunkSize).
-	ChunkI int
 }
 
 // clusterShard is one board system plus its guarded driver and private
@@ -51,25 +44,28 @@ type clusterShard struct {
 // Cluster is the GRAPE offload path: K guarded board systems behind
 // one asynchronous, double-buffered queue. A single board is the K=1
 // case. Accumulate only STAGES work — it copies the caller's j-list
-// into a free staging slot and queues the batch on the dispatcher — and
-// returns, so the treecode's walk workers stream the next group's list
-// while shard workers drain earlier batches through SetIP/Run/GetForce.
-// Staging is bounded at 2·K j-sets, the in-flight batch plus the queued
-// next one per board — exactly the double-buffer of the real host
-// library's asynchronous API: when every slot is taken, Accumulate
-// waits until a shard drains a batch. The bound keeps the staged copies
-// (and so the heap) independent of how many groups a step emits. Flush
-// is the step barrier: it blocks until every staged batch has
-// committed.
+// into a free staging slot and queues that slot, one per batch, on the
+// dispatcher — and returns, so the treecode's walk workers stream the
+// next group's list while shard workers drain earlier batches through
+// SetIP/Run/GetForce. Staging is bounded at 2·K slots, the in-flight
+// batch plus the queued next one per board — exactly the double-buffer
+// of the real host library's asynchronous API: when every slot is
+// taken, Accumulate waits until a shard drains a batch. The bound keeps
+// the staged copies (and so the heap) independent of how many groups a
+// step emits. Flush is the step barrier: it blocks until every staged
+// batch has committed.
 //
-// Sharding is along the i-axis at batch granularity: every field
-// particle's force is evaluated in full — whole j-list, one hardware
-// call — on exactly one shard, and by default a whole batch stays on
-// one shard so its j-list crosses exactly one board's bus (see
-// chunkSize). There is no floating-point reduction across shards, so
-// shard count and dispatch order cannot perturb results: a Cluster is
-// bitwise-identical to a single GuardedEngine fed the same batches
-// (the conformance suite pins this).
+// Sharding is along the i-axis at batch granularity: a whole batch
+// runs as one hardware call on exactly one shard, so every field
+// particle's force is evaluated in full and the batch's j-list crosses
+// exactly one board's bus. Splitting a batch across shards would
+// replicate the dominant j stream onto every board it touches — the
+// i-side would shard but t_comm would not — and the treecode emits far
+// more batches than shards at any sane n_g, so batch granularity is
+// what the work stealing balances. There is no floating-point reduction
+// across shards, so shard count and dispatch order cannot perturb
+// results: a Cluster is bitwise-identical to a single GuardedEngine fed
+// the same batches (the conformance suite pins this).
 //
 // Output slices handed to Accumulate must stay valid and disjoint
 // across batches until Flush returns (the treecode's per-group
@@ -83,10 +79,9 @@ type Cluster struct {
 	cfg    ClusterConfig
 	shards []*clusterShard
 	disp   *dispatcher
-	free   chan *jset // idle staging slots; 2·K of them exist
-	tpool  sync.Pool  // *task chunk descriptors
+	free   chan *slot // idle staging slots; 2·K of them exist
 
-	tasks   sync.WaitGroup // staged chunks not yet committed
+	tasks   sync.WaitGroup // staged batches not yet committed
 	workers sync.WaitGroup // running shard goroutines
 	rr      atomic.Int64   // round-robin lane cursor
 
@@ -104,7 +99,7 @@ var _ core.BatchedEngine = (*Cluster)(nil)
 
 // NewCluster builds a K-shard cluster and starts one worker goroutine
 // per shard. Shard 0 uses the fault model exactly as configured (so a
-// K=1 cluster reproduces a bare engine's fault stream bit for bit);
+// K=1 cluster reproduces a lone GuardedEngine's fault stream bit for bit);
 // shards beyond 0 get decorrelated fault seeds — independent boards
 // fail independently.
 func NewCluster(cfg ClusterConfig) (*Cluster, error) {
@@ -116,13 +111,12 @@ func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 	}
 	c := &Cluster{
 		cfg:  cfg,
-		disp: newDispatcher(cfg.Shards, cfg.Dispatch),
-		free: make(chan *jset, 2*cfg.Shards),
+		disp: newDispatcher(cfg.Shards),
+		free: make(chan *slot, 2*cfg.Shards),
 	}
 	for range 2 * cfg.Shards {
-		c.free <- new(jset)
+		c.free <- new(slot)
 	}
-	c.tpool.New = func() any { return new(task) }
 	for k := 0; k < cfg.Shards; k++ {
 		bcfg := cfg.Board
 		if bcfg.Fault != nil && k > 0 {
@@ -173,7 +167,7 @@ func (c *Cluster) ShardInteractions() []int64 {
 	return out
 }
 
-// ShardBatches returns the chunk count executed per shard.
+// ShardBatches returns the batch count executed per shard.
 func (c *Cluster) ShardBatches() []int64 {
 	out := make([]int64, len(c.shards))
 	for k, sh := range c.shards {
@@ -182,7 +176,7 @@ func (c *Cluster) ShardBatches() []int64 {
 	return out
 }
 
-// Steals returns how many chunks ran on a shard other than their
+// Steals returns how many batches ran on a shard other than their
 // round-robin lane.
 func (c *Cluster) Steals() int64 { return c.disp.Steals() }
 
@@ -259,11 +253,7 @@ func (c *Cluster) Recovery() Recovery {
 func (c *Cluster) FaultStats() FaultStats {
 	var total FaultStats
 	for _, sh := range c.shards {
-		fs := sh.sys.FaultStats()
-		total.JMemBitFlips += fs.JMemBitFlips
-		total.StuckPipeCalls += fs.StuckPipeCalls
-		total.BusErrors += fs.BusErrors
-		total.Transients += fs.Transients
+		total = total.Add(sh.sys.FaultStats())
 	}
 	return total
 }
@@ -285,54 +275,24 @@ func (c *Cluster) ActiveBoards() int {
 // parallel efficiency.
 func (c *Cluster) CriticalHWSeconds() float64 { return c.critSec }
 
-// chunkSize picks the i-chunk length for a batch of ni field points.
-// The default is the whole batch: every hardware call streams the
-// batch's complete j-list, so splitting a batch across shards
-// replicates the j transfer onto every board it touches — the i-side
-// (pipeline, readback) would shard but the dominant j stream would
-// not, and measured K-board speedup collapses. Whole batches keep the
-// cluster's per-board bus traffic identical to a single engine's, and
-// the treecode emits many more batches than shards at any sane n_g,
-// so batch granularity is what the work-stealing balance operates on.
-// ChunkI forces a split for tests that need sub-batch scheduling.
-func (c *Cluster) chunkSize(ni int) int {
-	if c.cfg.ChunkI > 0 {
-		return c.cfg.ChunkI
-	}
-	return ni
-}
-
 // Accumulate implements core.Engine by staging the batch: it waits for
 // a free staging slot, copies the j-list into it (callers reuse their
-// buffers immediately), cuts the i-range into chunks and queues each
-// chunk on a round-robin lane. Results land in req.Acc/req.Pot no
-// later than the next Flush.
+// buffers immediately) and queues the slot on a round-robin lane.
+// Results land in req.Acc/req.Pot no later than the next Flush.
 func (c *Cluster) Accumulate(req *core.Request) {
-	ni, nj := len(req.IPos), req.J.N
-	if ni == 0 || nj == 0 {
+	if len(req.IPos) == 0 || req.J.N == 0 {
 		return
 	}
-	js := <-c.free
-	js.j.CopyFrom(&req.J)
-
-	chunk := c.chunkSize(ni)
-	nChunks := (ni + chunk - 1) / chunk
-	atomic.StoreInt32(&js.refs, int32(nChunks))
-	for lo := 0; lo < ni; lo += chunk {
-		hi := min(lo+chunk, ni)
-		t := c.tpool.Get().(*task)
-		t.ipos = req.IPos[lo:hi]
-		t.jset = js
-		t.acc = req.Acc[lo:hi]
-		t.pot = req.Pot[lo:hi]
-		c.tasks.Add(1)
-		lane := int(c.rr.Add(1)-1) % len(c.shards)
-		c.disp.submit(lane, t)
-	}
+	s := <-c.free
+	s.j.CopyFrom(&req.J)
+	s.ipos, s.acc, s.pot = req.IPos, req.Acc, req.Pot
+	c.tasks.Add(1)
+	lane := int(c.rr.Add(1)-1) % len(c.shards)
+	c.disp.submit(lane, s)
 }
 
 // Flush implements core.BatchedEngine: it blocks until every staged
-// chunk has committed its results, folds the per-shard telemetry into
+// batch has committed its results, folds the per-shard telemetry into
 // the attached observer, and returns the first asynchronous failure
 // since the previous Flush (clearing it).
 func (c *Cluster) Flush() error {
@@ -395,28 +355,27 @@ func (c *Cluster) mergeObs() {
 	}
 }
 
-// worker is shard k's drain loop: pop (or steal) the next chunk, run
+// worker is shard k's drain loop: pop (or steal) the next batch, run
 // it, repeat until the dispatcher closes.
 func (c *Cluster) worker(k int) {
 	defer c.workers.Done()
 	for {
-		t := c.disp.next(k)
-		if t == nil {
+		s := c.disp.next(k)
+		if s == nil {
 			return
 		}
-		c.run(k, t)
+		c.run(k, s)
 	}
 }
 
-// run executes one chunk on shard k. A shard panic (wedged hardware,
-// *HardwareError) must not kill the process from a worker goroutine:
-// it is captured as the cluster's asynchronous error and surfaced at
-// Flush, the same contract the synchronous engines express by
-// panicking in the caller's frame.
-func (c *Cluster) run(k int, t *task) {
+// run executes one staged batch on shard k. A shard panic (wedged
+// hardware, *HardwareError) must not kill the process from a worker
+// goroutine: it is captured as the cluster's asynchronous error and
+// surfaced at Flush, the same contract the synchronous engines express
+// by panicking in the caller's frame.
+func (c *Cluster) run(k int, s *slot) {
 	defer c.tasks.Done()
-	defer c.releaseT(t)
-	defer c.releaseJ(t.jset)
+	defer c.release(s)
 	defer func() {
 		if r := recover(); r != nil {
 			c.errMu.Lock()
@@ -428,25 +387,18 @@ func (c *Cluster) run(k int, t *task) {
 	}()
 	sh := c.shards[k]
 	req := core.Request{
-		IPos: t.ipos, J: t.jset.j,
-		Acc: t.acc, Pot: t.pot,
+		IPos: s.ipos, J: s.j,
+		Acc: s.acc, Pot: s.pot,
 	}
 	sh.eng.Accumulate(&req)
-	sh.interactions.Add(int64(len(t.ipos)) * int64(t.jset.j.N))
+	sh.interactions.Add(int64(len(s.ipos)) * int64(s.j.N))
 	sh.batches.Add(1)
 }
 
-// releaseJ drops one chunk's reference to its staged j-set, returning
-// the slot (buffers kept for reuse) when the batch's last chunk drains.
-func (c *Cluster) releaseJ(js *jset) {
-	if atomic.AddInt32(&js.refs, -1) == 0 {
-		c.free <- js
-	}
-}
-
-// releaseT recycles a drained chunk descriptor, dropping its references
-// to the caller's output slices and the batch j-set first.
-func (c *Cluster) releaseT(t *task) {
-	t.ipos, t.jset, t.acc, t.pot = nil, nil, nil, nil
-	c.tpool.Put(t)
+// release returns a drained slot to the free list, dropping its
+// references to the caller's slices first (the j buffers are kept for
+// reuse).
+func (c *Cluster) release(s *slot) {
+	s.ipos, s.acc, s.pot = nil, nil, nil
+	c.free <- s
 }

@@ -29,21 +29,31 @@ func newConformanceCluster(t testing.TB, cfg ClusterConfig, eps float64) *Cluste
 }
 
 // batchShapes is the conformance workload: batch sizes chosen to hit a
-// single under-full chunk, exact chunk multiples, and ragged tails.
+// single under-full virtual-pipeline group, exact multiples of it, and
+// ragged tails.
 var batchShapes = []struct{ ni, nj int }{
 	{1, 50}, {17, 300}, {96, 200}, {97, 400}, {192, 128}, {500, 777},
 }
 
 // runBatches pushes the deterministic workload through eng, flushing
 // after every batch when stepwise is set (the treecode's cadence is one
-// flush per step; stepwise stresses the merge path instead).
-func runBatches(t testing.TB, eng core.Engine, seed uint64, stepwise bool) []*core.Request {
+// flush per step; stepwise stresses the merge path instead). A positive
+// split submits each batch as consecutive Accumulate calls of at most
+// split field particles sharing the batch's j-list.
+func runBatches(t testing.TB, eng core.Engine, seed uint64, stepwise bool, split int) []*core.Request {
 	t.Helper()
 	r := rng.New(seed)
 	var reqs []*core.Request
 	for _, s := range batchShapes {
 		q := randomRequest(r, s.ni, s.nj)
-		eng.Accumulate(q)
+		step := s.ni
+		if split > 0 {
+			step = split
+		}
+		for lo := 0; lo < s.ni; lo += step {
+			hi := min(lo+step, s.ni)
+			eng.Accumulate(&core.Request{IPos: q.IPos[lo:hi], J: q.J, Acc: q.Acc[lo:hi], Pot: q.Pot[lo:hi]})
+		}
 		reqs = append(reqs, q)
 		if stepwise {
 			if be, ok := eng.(core.BatchedEngine); ok {
@@ -62,23 +72,23 @@ func runBatches(t testing.TB, eng core.Engine, seed uint64, stepwise bool) []*co
 }
 
 // TestClusterK1BitwiseIdenticalToGuard: a single-shard cluster is the
-// bare guarded engine plus staging, chunking and a worker goroutine —
-// none of which may perturb a single bit of the forces. Sharding is
-// i-axis only (each i-particle's force is one full hardware sum), so
-// this holds for ANY chunk size; the table exercises the adaptive size
-// and pathological overrides.
+// bare guarded engine plus staging and a worker goroutine — neither of
+// which may perturb a single bit of the forces. Each i-particle's force
+// is one full hardware sum, so this holds however the caller cuts a
+// batch's i-range: chunk=N submits every batch as Accumulate calls of
+// at most N field particles (0 = whole batches). Small chunks also
+// cycle the two staging slots hundreds of times per flush.
 func TestClusterK1BitwiseIdenticalToGuard(t *testing.T) {
 	refSys := newGuardSystem(t, DefaultConfig(), 0.05)
 	ref := NewGuardedEngine(refSys, 1.5, fastPolicy())
-	want := runBatches(t, ref, 21, false)
+	want := runBatches(t, ref, 21, false, 0)
 
 	for _, chunk := range []int{0, 1, 7, 96, 1000} {
 		t.Run(fmt.Sprintf("chunk=%d", chunk), func(t *testing.T) {
 			cl := newConformanceCluster(t, ClusterConfig{
-				Shards: 1, Board: DefaultConfig(), G: 1.5,
-				Guard: fastPolicy(), ChunkI: chunk,
+				Shards: 1, Board: DefaultConfig(), G: 1.5, Guard: fastPolicy(),
 			}, 0.05)
-			got := runBatches(t, cl, 21, false)
+			got := runBatches(t, cl, 21, false, chunk)
 			for b := range want {
 				for i := range want[b].Acc {
 					if got[b].Acc[i] != want[b].Acc[i] || got[b].Pot[i] != want[b].Pot[i] {
@@ -101,62 +111,67 @@ func TestClusterK1BitwiseIdenticalToGuard(t *testing.T) {
 // one shard), so the agreement is in fact exact; the tolerance in the
 // assertion documents the contract the treecode relies on, and the
 // exactness is pinned separately so a future cross-shard reduction
-// cannot sneak in silently.
+// cannot sneak in silently. The aggregate hardware counters must equal
+// K=1's too: every batch runs whole on one shard, so sharding never
+// replicates a batch's j-stream onto a second board. (The subtests keep
+// their steal=true suffix: work stealing is the only dispatch policy.)
 func TestClusterShardsAgreeWithK1(t *testing.T) {
 	base := newConformanceCluster(t, ClusterConfig{
 		Shards: 1, Board: DefaultConfig(), G: 1, Guard: fastPolicy(),
 	}, 0.05)
-	want := runBatches(t, base, 33, true)
+	want := runBatches(t, base, 33, true, 0)
+	wantCnt := base.Counters()
 
 	for _, k := range []int{2, 4, 8} {
-		for _, policy := range []DispatchPolicy{DispatchWorkSteal, DispatchRoundRobin} {
-			name := fmt.Sprintf("K=%d/steal=%v", k, policy == DispatchWorkSteal)
-			t.Run(name, func(t *testing.T) {
-				cl := newConformanceCluster(t, ClusterConfig{
-					Shards: k, Board: DefaultConfig(), G: 1,
-					Guard: fastPolicy(), Dispatch: policy, ChunkI: 32,
-				}, 0.05)
-				got := runBatches(t, cl, 33, true)
-				for b := range want {
-					for i := range want[b].Acc {
-						d := got[b].Acc[i].Sub(want[b].Acc[i])
-						if math.Abs(d.X) > 1e-12 || math.Abs(d.Y) > 1e-12 || math.Abs(d.Z) > 1e-12 ||
-							math.Abs(got[b].Pot[i]-want[b].Pot[i]) > 1e-12 {
-							t.Fatalf("batch %d i=%d: K=%d drifted beyond 1e-12: %v vs %v",
-								b, i, k, got[b].Acc[i], want[b].Acc[i])
-						}
-						if got[b].Acc[i] != want[b].Acc[i] || got[b].Pot[i] != want[b].Pot[i] {
-							t.Fatalf("batch %d i=%d: K=%d not bitwise identical (reduction order changed?)",
-								b, i, k)
-						}
+		t.Run(fmt.Sprintf("K=%d/steal=true", k), func(t *testing.T) {
+			cl := newConformanceCluster(t, ClusterConfig{
+				Shards: k, Board: DefaultConfig(), G: 1, Guard: fastPolicy(),
+			}, 0.05)
+			got := runBatches(t, cl, 33, true, 0)
+			for b := range want {
+				for i := range want[b].Acc {
+					d := got[b].Acc[i].Sub(want[b].Acc[i])
+					if math.Abs(d.X) > 1e-12 || math.Abs(d.Y) > 1e-12 || math.Abs(d.Z) > 1e-12 ||
+						math.Abs(got[b].Pot[i]-want[b].Pot[i]) > 1e-12 {
+						t.Fatalf("batch %d i=%d: K=%d drifted beyond 1e-12: %v vs %v",
+							b, i, k, got[b].Acc[i], want[b].Acc[i])
+					}
+					if got[b].Acc[i] != want[b].Acc[i] || got[b].Pot[i] != want[b].Pot[i] {
+						t.Fatalf("batch %d i=%d: K=%d not bitwise identical (reduction order changed?)",
+							b, i, k)
 					}
 				}
-				// Conservation: every pairwise interaction ran on exactly
-				// one shard.
-				var total, wantTotal int64
-				for _, n := range cl.ShardInteractions() {
-					total += n
-				}
-				for _, s := range batchShapes {
-					wantTotal += int64(s.ni) * int64(s.nj)
-				}
-				if total != wantTotal {
-					t.Errorf("shard interactions sum to %d, submitted %d", total, wantTotal)
-				}
-			})
-		}
+			}
+			// Conservation: every pairwise interaction ran on exactly
+			// one shard.
+			var total, wantTotal int64
+			for _, n := range cl.ShardInteractions() {
+				total += n
+			}
+			for _, s := range batchShapes {
+				wantTotal += int64(s.ni) * int64(s.nj)
+			}
+			if total != wantTotal {
+				t.Errorf("shard interactions sum to %d, submitted %d", total, wantTotal)
+			}
+			c := cl.Counters()
+			if c.Runs != wantCnt.Runs || c.Interactions != wantCnt.Interactions ||
+				c.BytesTransferred != wantCnt.BytesTransferred || c.JPasses != wantCnt.JPasses ||
+				c.PipeSeconds != wantCnt.PipeSeconds || c.BusSeconds != wantCnt.BusSeconds {
+				t.Errorf("K=%d aggregate counters %+v differ from K=1 %+v", k, c, wantCnt)
+			}
+		})
 	}
 }
 
 // TestClusterConcurrentAccumulate drives a K=4 cluster from several
 // producer goroutines at once — the treecode's walk-worker pattern —
-// and checks every batch against the bare engine. Run under -race this
-// is the data-race conformance check for the staging path.
+// and checks every batch against a direct System.Compute. Run under
+// -race this is the data-race conformance check for the staging path.
 func TestClusterConcurrentAccumulate(t *testing.T) {
 	refSys := newGuardSystem(t, DefaultConfig(), 0.05)
-	ref := NewEngine(refSys, 1)
 	cl := newConformanceCluster(t, ClusterConfig{
-		Shards: 4, Board: DefaultConfig(), G: 1, Guard: fastPolicy(), ChunkI: 48,
+		Shards: 4, Board: DefaultConfig(), G: 1, Guard: fastPolicy(),
 	}, 0.05)
 
 	const producers, perProducer = 4, 6
@@ -183,7 +198,7 @@ func TestClusterConcurrentAccumulate(t *testing.T) {
 	for p := 0; p < producers; p++ {
 		for b, q := range reqs[p] {
 			want := cloneRequest(q)
-			ref.Accumulate(want)
+			plainAccumulate(t, refSys, 1, want)
 			for i := range want.Acc {
 				if q.Acc[i] != want.Acc[i] || q.Pot[i] != want.Pot[i] {
 					t.Fatalf("producer %d batch %d i=%d: concurrent cluster diverged", p, b, i)
@@ -225,19 +240,18 @@ func TestClusterFlushSurfacesShardPanic(t *testing.T) {
 }
 
 // FuzzClusterShard fuzzes the sharding invariants: arbitrary batch
-// shapes, shard counts, chunk overrides and transient fault injection
+// shapes, shard counts and transient fault injection
 // must never drop or double-count a force, and the per-shard recovery
 // counters must sum to the cluster totals.
 func FuzzClusterShard(f *testing.F) {
-	f.Add(uint64(1), uint16(20), uint16(300), uint8(2), uint8(0), uint8(0))
-	f.Add(uint64(2), uint16(97), uint16(50), uint8(3), uint8(7), uint8(1))
-	f.Add(uint64(3), uint16(500), uint16(900), uint8(8), uint8(96), uint8(2))
-	f.Add(uint64(4), uint16(1), uint16(1), uint8(1), uint8(1), uint8(3))
-	f.Fuzz(func(t *testing.T, seed uint64, niRaw, njRaw uint16, shardsRaw, chunkRaw, faultKind uint8) {
+	f.Add(uint64(1), uint16(20), uint16(300), uint8(2), uint8(0))
+	f.Add(uint64(2), uint16(97), uint16(50), uint8(3), uint8(1))
+	f.Add(uint64(3), uint16(500), uint16(900), uint8(8), uint8(2))
+	f.Add(uint64(4), uint16(1), uint16(1), uint8(1), uint8(3))
+	f.Fuzz(func(t *testing.T, seed uint64, niRaw, njRaw uint16, shardsRaw, faultKind uint8) {
 		ni := 1 + int(niRaw)%600
 		nj := 1 + int(njRaw)%900
 		shards := 1 + int(shardsRaw)%8
-		chunk := int(chunkRaw) % 128 // 0 keeps the adaptive size
 
 		cfg := DefaultConfig()
 		switch faultKind % 4 {
@@ -252,7 +266,7 @@ func FuzzClusterShard(f *testing.F) {
 		pol.MaxRetries = 12
 
 		cl, err := NewCluster(ClusterConfig{
-			Shards: shards, Board: cfg, G: 1, Guard: pol, ChunkI: chunk,
+			Shards: shards, Board: cfg, G: 1, Guard: pol,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -293,11 +307,11 @@ func FuzzClusterShard(f *testing.F) {
 			t.Fatalf("shard interactions sum to %d, submitted %d", total, wantTotal)
 		}
 
-		// Recovery counters sum across shards, and every chunk was
+		// Recovery counters sum across shards, and every batch was
 		// acceptance-checked exactly once.
 		rec := cl.Recovery()
 		var sum Recovery
-		var chunks int64
+		var ran int64
 		for k := 0; k < cl.Shards(); k++ {
 			sr := cl.ShardEngine(k).Recovery()
 			sum.Checks += sr.Checks
@@ -305,13 +319,13 @@ func FuzzClusterShard(f *testing.F) {
 			sum.FallbackBatches += sr.FallbackBatches
 		}
 		for _, n := range cl.ShardBatches() {
-			chunks += n
+			ran += n
 		}
 		if rec.Checks != sum.Checks || rec.Retries != sum.Retries || rec.FallbackBatches != sum.FallbackBatches {
 			t.Fatalf("cluster recovery %+v disagrees with shard sum %+v", rec, sum)
 		}
-		if rec.Checks != chunks {
-			t.Fatalf("%d acceptance checks for %d executed chunks", rec.Checks, chunks)
+		if rec.Checks != ran {
+			t.Fatalf("%d acceptance checks for %d executed batches", rec.Checks, ran)
 		}
 		fs := cl.FaultStats()
 		if int64(fs.BusErrors+fs.Transients) != rec.Retries {

@@ -11,23 +11,26 @@ import (
 	"repro/internal/vec"
 )
 
-func newTestEngine(t *testing.T, g float64) *Engine {
+// newTestCluster builds the production offload path for one board
+// system: a K=1 cluster over the paper's machine.
+func newTestCluster(t *testing.T, g, eps float64) *Cluster {
 	t.Helper()
-	sys, err := NewSystem(DefaultConfig())
-	if err != nil {
+	return newConformanceCluster(t, ClusterConfig{Board: DefaultConfig(), G: g, Guard: fastPolicy()}, eps)
+}
+
+// accumulate submits req to the cluster and waits for its result.
+func accumulate(t *testing.T, c *Cluster, req *core.Request) {
+	t.Helper()
+	c.Accumulate(req)
+	if err := c.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	if err := sys.SetScale(-100, 100); err != nil {
-		t.Fatal(err)
-	}
-	return NewEngine(sys, g)
 }
 
 func TestEngineMatchesHostEngine(t *testing.T) {
-	// The GRAPE engine must agree with the float64 host engine to
+	// The GRAPE offload path must agree with the float64 host engine to
 	// pipeline precision on a random batch.
-	e := newTestEngine(t, 2.5)
-	e.System().SetEps(0.05)
+	e := newTestCluster(t, 2.5, 0.05)
 	host := &core.HostEngine{G: 2.5, Eps: 0.05}
 
 	r := rng.New(8)
@@ -48,7 +51,7 @@ func TestEngineMatchesHostEngine(t *testing.T) {
 	rq1 := req()
 	rq2 := &core.Request{IPos: rq1.IPos, J: rq1.J,
 		Acc: make([]vec.V3, ni), Pot: make([]float64, ni)}
-	e.Accumulate(rq1)
+	accumulate(t, e, rq1)
 	host.Accumulate(rq2)
 	for i := range rq1.Acc {
 		rel := rq1.Acc[i].Sub(rq2.Acc[i]).Norm() / rq2.Acc[i].Norm()
@@ -59,14 +62,14 @@ func TestEngineMatchesHostEngine(t *testing.T) {
 }
 
 func TestEngineAddsIntoOutputs(t *testing.T) {
-	e := newTestEngine(t, 1)
+	e := newTestCluster(t, 1, 0)
 	req := &core.Request{
 		IPos: []vec.V3{{X: -1}},
 		Acc:  []vec.V3{{X: 100}},
 		Pot:  []float64{7},
 	}
 	req.J.Append(1, 0, 0, 1)
-	e.Accumulate(req)
+	accumulate(t, e, req)
 	if req.Acc[0].X <= 100 {
 		t.Errorf("Accumulate must add, got %v", req.Acc[0].X)
 	}
@@ -76,9 +79,9 @@ func TestEngineAddsIntoOutputs(t *testing.T) {
 }
 
 func TestEngineConcurrentUse(t *testing.T) {
-	// Many goroutines hammering the engine must serialise safely and
-	// produce correct counters.
-	e := newTestEngine(t, 1)
+	// Many goroutines hammering the offload path must serialise safely
+	// and produce correct counters.
+	e := newTestCluster(t, 1, 0)
 	const calls = 50
 	var wg sync.WaitGroup
 	for k := 0; k < calls; k++ {
@@ -97,18 +100,20 @@ func TestEngineConcurrentUse(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	c := e.System().Counters()
-	if c.Runs != calls {
+	if err := e.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if c := e.Counters(); c.Runs != calls {
 		t.Errorf("runs = %d, want %d", c.Runs, calls)
 	}
-	if c.Interactions != calls*2*3 {
-		t.Errorf("interactions = %d, want %d", c.Interactions, calls*6)
+	if n := e.ShardInteractions()[0]; n != calls*2*3 {
+		t.Errorf("interactions = %d, want %d", n, calls*6)
 	}
 }
 
 func TestEngineDefaultG(t *testing.T) {
 	sys, _ := NewSystem(DefaultConfig())
-	e := NewEngine(sys, 0)
+	e := NewGuardedEngine(sys, 0, GuardPolicy{})
 	if e.G != 1 {
 		t.Errorf("G = %v, want 1", e.G)
 	}
@@ -130,12 +135,17 @@ func TestTreecodeOnGRAPE(t *testing.T) {
 
 	bounds := s.Bounds()
 	ext := bounds.MaxEdge()
-	sys, _ := NewSystem(DefaultConfig())
-	if err := sys.SetScale(bounds.Center().X-ext, bounds.Center().X+ext); err != nil {
+	eng, err := NewCluster(ClusterConfig{Board: DefaultConfig(), G: 1})
+	if err != nil {
 		t.Fatal(err)
 	}
-	sys.SetEps(0.01)
-	eng := NewEngine(sys, 1)
+	defer eng.Close()
+	if err := eng.SetScale(bounds.Center().X-ext, bounds.Center().X+ext); err != nil {
+		t.Fatal(err)
+	}
+	if err := eng.SetEps(0.01); err != nil {
+		t.Fatal(err)
+	}
 
 	// GRAPE run.
 	sg := s.Clone()
@@ -171,7 +181,7 @@ func TestTreecodeOnGRAPE(t *testing.T) {
 	if errG > errH*1.6+1e-9 {
 		t.Errorf("hardware degrades tree error too much: %.4f%% vs %.4f%%", errG*100, errH*100)
 	}
-	if c := sys.Counters(); c.RangeClamps != 0 {
+	if c := eng.Counters(); c.RangeClamps != 0 {
 		t.Errorf("unexpected range clamps: %d", c.RangeClamps)
 	}
 }

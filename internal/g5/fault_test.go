@@ -64,8 +64,8 @@ func TestJMemChunkingPreservesForces(t *testing.T) {
 }
 
 // TestEnginePanicsOnHardwareFault: a strict-range system fed an
-// out-of-range position must surface as a panic through the engine
-// (driver-bug semantics), not silent corruption — and the panic value
+// out-of-range position must surface as a panic through the guarded
+// engine (driver-bug semantics), not silent corruption or a retry — and the panic value
 // must be the typed *HardwareError so recovery code can distinguish
 // driver bugs from injected faults without string matching.
 func TestEnginePanicsOnHardwareFault(t *testing.T) {
@@ -75,7 +75,7 @@ func TestEnginePanicsOnHardwareFault(t *testing.T) {
 	if err := sys.SetScale(-1, 1); err != nil {
 		t.Fatal(err)
 	}
-	e := NewEngine(sys, 1)
+	e := NewGuardedEngine(sys, 1, fastPolicy())
 	defer func() {
 		r := recover()
 		if r == nil {

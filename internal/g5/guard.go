@@ -82,8 +82,8 @@ func (r Recovery) String() string {
 		r.Checks, r.Retries, r.CorruptResults, r.ExcludedBoards, r.FallbackBatches, r.HostOnly)
 }
 
-// GuardedEngine is the fault-tolerant counterpart of Engine: a
-// core.Engine that drives the emulated GRAPE-5 the way a production
+// GuardedEngine is the fault-tolerant offload path of one board
+// system: a core.Engine that drives the emulated GRAPE-5 the way a production
 // host drives real flaky boards.
 //
 // Before accepting any batch it verifies the hardware against the host:
@@ -298,8 +298,8 @@ func (e *GuardedEngine) computeVerified(req *core.Request) bool {
 				hw = &HardwareError{Op: "compute", Err: err}
 			}
 			// Non-transient errors with boards still active are host
-			// programming bugs (scale, ranges), same contract as
-			// Engine; all-excluded is handled by the caller.
+			// programming bugs (scale, ranges) and panic with the typed
+			// error; all-excluded is handled by the caller.
 			if e.sys.ActiveBoards() == 0 {
 				return false
 			}

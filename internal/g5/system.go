@@ -41,8 +41,8 @@ func (c Counters) Flops(opsPerInteraction int) float64 {
 }
 
 // System is an emulated GRAPE-5 installation. It is NOT safe for
-// concurrent use — it models one physical device on one bus; wrap it in
-// an Engine for concurrent callers.
+// concurrent use — it models one physical device on one bus; drive it
+// through a GuardedEngine or a Cluster for concurrent callers.
 type System struct {
 	cfg Config
 

@@ -11,9 +11,10 @@ import (
 //  1. Register-level isolation: outside internal/g5, the raw data-path
 //     entry points of the emulated hardware — System.Compute,
 //     System.ChargeOnly, System.SetBoardExcluded — are off limits.
-//     Hosts drive the hardware through the library surfaces (Driver,
-//     Engine, GuardedEngine, Cluster), which own serialisation, error
-//     classification and fault recovery.
+//     Hosts drive the hardware through the library surfaces — Driver,
+//     the paper's host-library API, and Cluster, the guarded offload
+//     path (GuardedEngine is its one-board building block) — which own
+//     serialisation, error classification and fault recovery.
 //
 //  2. Call order: for a Driver or System created in the current
 //     function, the library sequence must hold in source order —
@@ -67,7 +68,7 @@ func checkRegisterAccess(pass *Pass, file *ast.File) {
 			return true
 		}
 		if pkg, typ, ok := recvNamed(f); ok && pkg == g5Path && typ == "System" {
-			pass.Reportf(call.Pos(), "register-level access to g5.System.%s outside internal/g5: drive the hardware through Driver, Engine, GuardedEngine or Cluster", f.Name())
+			pass.Reportf(call.Pos(), "register-level access to g5.System.%s outside internal/g5: drive the hardware through Driver or Cluster", f.Name())
 		}
 		return true
 	})
@@ -137,7 +138,7 @@ func trackCreation(pass *Pass, tracked map[types.Object]*devState, assign *ast.A
 // tracked objects, and marks objects escaping as plain arguments.
 func handleCall(pass *Pass, tracked map[types.Object]*devState, call *ast.CallExpr) {
 	// Escape: a tracked device passed as an argument leaves local
-	// jurisdiction (NewEngine(sys, ...), helper functions, ...).
+	// jurisdiction (NewGuardedEngine(sys, ...), helper functions, ...).
 	for _, arg := range call.Args {
 		expr := ast.Unparen(arg)
 		if u, ok := expr.(*ast.UnaryExpr); ok {

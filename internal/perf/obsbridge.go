@@ -21,15 +21,3 @@ func StepFromObs(h HostModel, st *core.Stats, r obs.StepReport) StepReport {
 		Interactions:     st.Interactions,
 	}
 }
-
-// OptimumIndex returns the index of the sweep point with the smallest
-// modelled total time, or -1 for an empty sweep.
-func OptimumIndex(points []SweepPoint) int {
-	best := -1
-	for i := range points {
-		if best < 0 || points[i].Report.TotalSeconds() < points[best].Report.TotalSeconds() {
-			best = i
-		}
-	}
-	return best
-}

@@ -121,11 +121,6 @@ type StepReport struct {
 	PipeSeconds, BusSeconds float64
 	// Interactions is the pairwise interaction count of the step.
 	Interactions int64
-	// Recovery carries the guard's fault-handling counters when the
-	// step ran through a fault-tolerant engine (zero otherwise): a
-	// degraded step's timing is only interpretable next to its
-	// retries, exclusions and fallbacks.
-	Recovery g5.Recovery
 }
 
 // TotalSeconds returns the modelled wall-clock of the step. Host work
@@ -145,15 +140,6 @@ func ModelStep(h HostModel, st *core.Stats, c g5.Counters) StepReport {
 		BusSeconds:       c.BusSeconds,
 		Interactions:     st.Interactions,
 	}
-}
-
-// ModelStepRecovery is ModelStep for a step driven through the
-// fault-tolerant offload path: the report carries the guard's recovery
-// counters alongside the (possibly degraded) timing.
-func ModelStepRecovery(h HostModel, st *core.Stats, c g5.Counters, rec g5.Recovery) StepReport {
-	r := ModelStep(h, st, c)
-	r.Recovery = rec
-	return r
 }
 
 // GordonBell computes the paper's §5 headline metrics.
