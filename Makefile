@@ -63,11 +63,15 @@ bench-alloc:
 # concurrently with the benchmark and perturb the early samples on
 # small machines. The emulator kernel benchmarks then run once each:
 # go test builds benchmarks but never runs them, so this catches one
-# that fails at run time.
+# that fails at run time. Last, the emulator's functional pass is gated
+# the same way: on a batch above its split grain, the GOMAXPROCS-wide
+# fan-out must beat the one-goroutine pass by >=1.3x (DESIGN.md §3.4).
 bench-host: $(BIN)/benchdiff
 	$(GO) test -run '^$$' -bench 'MACBatch|HostP2P|GuardCheck' -count=10 ./internal/hostk > $(BIN)/bench-host.txt
 	$(BIN)/benchdiff -require MACBatch -factor 1.3 < $(BIN)/bench-host.txt
 	$(GO) test -run '^$$' -bench . -benchtime 1x ./internal/g5
+	$(GO) test -run '^$$' -bench 'G5KernelBatch' -count=10 ./internal/g5 > $(BIN)/bench-g5.txt
+	$(BIN)/benchdiff -old serial -new split -require G5KernelBatch -factor 1.3 < $(BIN)/bench-g5.txt
 
 $(BIN)/benchdiff: $(wildcard cmd/benchdiff/*.go)
 	$(GO) build -o $@ ./cmd/benchdiff

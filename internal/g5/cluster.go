@@ -223,13 +223,15 @@ func (c *Cluster) Counters() Counters {
 	return total.counters(c.cfg.Board)
 }
 
-// ResetCounters zeroes every shard's activity counters and the
+// ResetCounters zeroes every shard's activity counters, the
 // observer-side hardware accumulation they feed (see
-// System.ResetCounters).
+// System.ResetCounters) and the critical-path time, so
+// CriticalHWSeconds never exceeds the aggregate Counters().HWSeconds().
 func (c *Cluster) ResetCounters() {
 	for _, sh := range c.shards {
 		sh.sys.ResetCounters()
 	}
+	c.critSec = 0
 }
 
 // Recovery returns the summed fault-handling counters across shards.

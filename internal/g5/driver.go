@@ -112,5 +112,5 @@ func (d *Driver) CalculateForceOnX(x []vec.V3, acc []vec.V3, pot []float64) erro
 	if len(d.jx) == 0 {
 		return fmt.Errorf("g5: no j-particles loaded")
 	}
-	return d.sys.compute(x, d.jx, d.jm, acc, pot, false)
+	return d.sys.compute(x, d.jx, d.jm, acc, pot, false, 0)
 }

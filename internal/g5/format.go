@@ -14,11 +14,17 @@ import "math"
 // and subnormals lose the relative-error guarantee; both are far
 // outside the dynamic range of any simulation quantity (the hardware's
 // log format spans a comparable range).
+//
+// Only the all-ones exponent (infinities and NaN) needs a branch: ±0
+// rounds to itself arithmetically, because the rounding increment
+// never reaches the kept bits. The one test keeps RoundMantissa small
+// enough to inline into the emulator's inner loop.
 func RoundMantissa(v float64, bits uint) float64 {
-	if bits >= 52 || v == 0 || math.IsNaN(v) || math.IsInf(v, 0) {
+	const expMask = 0x7ff << 52
+	b := math.Float64bits(v)
+	if bits >= 52 || b&expMask == expMask {
 		return v
 	}
-	b := math.Float64bits(v)
 	shift := 52 - bits
 	round := uint64(1) << (shift - 1)
 	mantAndExp := b &^ (1 << 63)

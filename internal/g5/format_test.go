@@ -44,6 +44,45 @@ func TestRoundMantissaSpecials(t *testing.T) {
 	}
 }
 
+// roundMantissaRef is RoundMantissa with every special value tested
+// explicitly, the form the single exponent test replaced.
+func roundMantissaRef(v float64, bits uint) float64 {
+	if bits >= 52 || v == 0 || math.IsNaN(v) || math.IsInf(v, 0) {
+		return v
+	}
+	b := math.Float64bits(v)
+	shift := 52 - bits
+	round := uint64(1) << (shift - 1)
+	mantAndExp := b &^ (1 << 63)
+	sign := b & (1 << 63)
+	mantAndExp += round
+	mantAndExp &^= (uint64(1) << shift) - 1
+	return math.Float64frombits(sign | mantAndExp)
+}
+
+// TestRoundMantissaMatchesReference pins the one-branch RoundMantissa
+// bitwise to the explicit-special-case form: signed zeros, subnormals,
+// the largest finite values, infinities, NaN payloads and random bit
+// patterns, at every width.
+func TestRoundMantissaMatchesReference(t *testing.T) {
+	vals := []float64{0, math.Copysign(0, -1), 5e-324, -5e-324, 2.2250738585072014e-308,
+		math.MaxFloat64, -math.MaxFloat64, math.Inf(1), math.Inf(-1), math.NaN(),
+		math.Float64frombits(0x7ff0000000000001), 1, -1.96875}
+	r := rng.New(3)
+	for range 2000 {
+		vals = append(vals, math.Float64frombits(r.Uint64()))
+	}
+	for bits := uint(0); bits <= 53; bits++ {
+		for _, v := range vals {
+			got, want := RoundMantissa(v, bits), roundMantissaRef(v, bits)
+			if math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("RoundMantissa(%#x, %d) = %#x, reference %#x",
+					math.Float64bits(v), bits, math.Float64bits(got), math.Float64bits(want))
+			}
+		}
+	}
+}
+
 // Property: relative rounding error is bounded by 2^-(bits+1) (half an
 // ulp at the given precision) and the sign is preserved.
 func TestRoundMantissaErrorBoundProperty(t *testing.T) {

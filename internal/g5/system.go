@@ -3,6 +3,8 @@ package g5
 import (
 	"fmt"
 	"math"
+	"runtime"
+	"sync"
 
 	"repro/internal/obs"
 	"repro/internal/vec"
@@ -43,6 +45,13 @@ func (c Counters) Flops(opsPerInteraction int) float64 {
 // System is an emulated GRAPE-5 installation. It is NOT safe for
 // concurrent use — it models one physical device on one bus; drive it
 // through a GuardedEngine or a Cluster for concurrent callers.
+//
+// Inside one Compute the arithmetic fans out: the i-range is cut into
+// contiguous chunks evaluated on up to GOMAXPROCS goroutines, the way
+// the real machine's pipelines all work at once. The timing and fault
+// model stays serial per call — faults are planned before the fan-out
+// and the counters are charged once after the join — so results,
+// counters and fault streams do not depend on the width.
 type System struct {
 	cfg Config
 
@@ -243,13 +252,15 @@ func (s *System) activeBoardList() []int {
 // passes, force readback — charging simulated time to the counters —
 // and evaluates the forces with the pipeline's reduced precision.
 func (s *System) Compute(ipos, jpos []vec.V3, jmass []float64, acc []vec.V3, pot []float64) error {
-	return s.compute(ipos, jpos, jmass, acc, pot, true)
+	return s.compute(ipos, jpos, jmass, acc, pot, true, 0)
 }
 
-// compute is Compute with control over j-upload accounting: the Driver
-// charges the j transfer once at load time (persistent particle
-// memory), not per force call.
-func (s *System) compute(ipos, jpos []vec.V3, jmass []float64, acc []vec.V3, pot []float64, chargeJ bool) error {
+// compute is Compute with control over j-upload accounting and the
+// width of the functional pass. The Driver charges the j transfer once
+// at load time (persistent particle memory), not per force call. width
+// is the number of i-chunks the arithmetic is split into; 0 picks the
+// default. Any width gives bitwise the same results.
+func (s *System) compute(ipos, jpos []vec.V3, jmass []float64, acc []vec.V3, pot []float64, chargeJ bool, width int) error {
 	if !s.haveScale {
 		return fmt.Errorf("g5: Compute before SetScale")
 	}
@@ -277,7 +288,7 @@ func (s *System) compute(ipos, jpos []vec.V3, jmass []float64, acc []vec.V3, pot
 		}
 	}
 
-	// --- Functional model -------------------------------------------
+	// --- Functional model: serial prologue ---------------------------
 	iq, err := s.quantizeInto(s.iqScratch, ipos)
 	if err != nil {
 		return err
@@ -326,10 +337,77 @@ func (s *System) compute(ipos, jpos []vec.V3, jmass []float64, acc []vec.V3, pot
 			stuckFactor[sp.slot] *= 1 - share
 		}
 	}
-	pb := s.cfg.PipeBits
-	r2b := s.cfg.R2Bits
-	for i := range iq {
-		pi := iq[i]
+
+	// --- Functional model: parallel pass -----------------------------
+	// By default, one chunk per available core, but none under grain
+	// interactions (split also caps the width at ni).
+	if width <= 0 {
+		width = min(runtime.GOMAXPROCS(0), ni*nj/grain)
+	}
+	k := kernel{
+		iq: iq, jq: jq, mq: mq, stuck: stuckFactor,
+		eps2: s.eps2, pb: s.cfg.PipeBits, r2b: s.cfg.R2Bits,
+		acc: acc, pot: pot,
+	}
+	k.split(width)
+
+	// --- Timing model ------------------------------------------------
+	s.chargeOpt(ni, nj, chargeJ)
+	return nil
+}
+
+// grain is the least number of pairwise interactions worth a goroutine
+// of the functional pass: several milliseconds of emulated arithmetic,
+// far above the cost of spawning and joining it.
+const grain = 1 << 18
+
+// kernel is one batch's functional pass: the quantised i/j positions,
+// rounded masses and stuck-pipeline factors the serial prologue
+// prepared, and the caller's outputs. Each i reads all of j in order
+// and writes only acc[i] and pot[i], so how the i-range is chunked
+// cannot change a bit of the result.
+type kernel struct {
+	iq, jq  []vec.V3
+	mq      []float64
+	stuck   []float64 // per virtual-pipe force factor; nil without a stuck pipe
+	eps2    float64
+	pb, r2b uint
+	acc     []vec.V3
+	pot     []float64
+}
+
+// split evaluates the batch in width contiguous i-chunks, all but the
+// first on their own goroutines, and returns once every chunk is done.
+// width is clamped to [1, ni].
+func (k kernel) split(width int) {
+	ni := len(k.iq)
+	width = max(1, min(width, ni))
+	if width == 1 {
+		k.run(0, ni)
+		return
+	}
+	var wg sync.WaitGroup
+	for c := 1; c < width; c++ {
+		wg.Add(1)
+		go k.chunk(&wg, c*ni/width, (c+1)*ni/width)
+	}
+	k.run(0, ni/width)
+	wg.Wait()
+}
+
+// chunk is one fanned-out goroutine of split.
+func (k kernel) chunk(wg *sync.WaitGroup, lo, hi int) {
+	defer wg.Done()
+	k.run(lo, hi)
+}
+
+// run evaluates field points [lo, hi) against the whole j-list with
+// the pipeline's reduced precision, adding into acc and pot.
+func (k kernel) run(lo, hi int) {
+	pb, r2b, eps2 := k.pb, k.r2b, k.eps2
+	jq, mq := k.jq, k.mq
+	for i := lo; i < hi; i++ {
+		pi := k.iq[i]
 		var ax, ay, az, pp float64
 		for j := range jq {
 			dx := jq[j].X - pi.X
@@ -339,7 +417,7 @@ func (s *System) compute(ipos, jpos []vec.V3, jmass []float64, acc []vec.V3, pot
 			if r2 == 0 {
 				continue // hardware emits zero for coincident points
 			}
-			r2 = RoundMantissa(r2+s.eps2, r2b)
+			r2 = RoundMantissa(r2+eps2, r2b)
 			//lint:ignore hostk emulated pipeline arithmetic: every product is mantissa-rounded, so the float64 tile kernel cannot express it
 			inv := 1 / math.Sqrt(r2)
 			m := mq[j]
@@ -350,17 +428,15 @@ func (s *System) compute(ipos, jpos []vec.V3, jmass []float64, acc []vec.V3, pot
 			az += RoundMantissa(ff*dz, pb)
 			pp -= fpot
 		}
-		if stuckFactor != nil {
-			f := stuckFactor[i%len(stuckFactor)]
+		if k.stuck != nil {
+			// Indexed by the global i: the virtual pipe serving i does
+			// not depend on the chunking.
+			f := k.stuck[i%len(k.stuck)]
 			ax, ay, az, pp = ax*f, ay*f, az*f, pp*f
 		}
-		acc[i] = acc[i].Add(vec.V3{X: ax, Y: ay, Z: az})
-		pot[i] += pp
+		k.acc[i] = k.acc[i].Add(vec.V3{X: ax, Y: ay, Z: az})
+		k.pot[i] += pp
 	}
-
-	// --- Timing model ------------------------------------------------
-	s.chargeOpt(ni, nj, chargeJ)
-	return nil
 }
 
 // quantizeInto maps positions through the fixed-point grid, writing

@@ -420,3 +420,77 @@ func TestCountersFlops(t *testing.T) {
 		t.Errorf("Flops(1) = %v, want %v", got, float64(wantInts))
 	}
 }
+
+// TestComputeSplitBitwise pins the functional pass's split invariance:
+// however the i-range is chunked across goroutines, every force and
+// potential is bitwise the serial one, and the serial timing and fault
+// model charges the same counters and draws the same fault stream. The
+// batch carries every prologue path the chunks share: coincident i/j
+// points, out-of-range positions the grid clamps, a j-memory bit flip
+// and a stuck virtual pipeline on every call (so the stuck factor must
+// be indexed by the global i, not the chunk-local one).
+func TestComputeSplitBitwise(t *testing.T) {
+	const ni, nj, calls = 97, 203, 3
+	r := rng.New(14)
+	ipos := make([]vec.V3, ni)
+	for i := range ipos {
+		ipos[i] = vec.V3{X: r.Uniform(-50, 50), Y: r.Uniform(-50, 50), Z: r.Uniform(-50, 50)}
+	}
+	jpos := make([]vec.V3, nj)
+	jm := make([]float64, nj)
+	for j := range jpos {
+		jpos[j] = vec.V3{X: r.Uniform(-50, 50), Y: r.Uniform(-50, 50), Z: r.Uniform(-50, 50)}
+		jm[j] = r.Uniform(0.5, 2)
+	}
+	for i := 0; i < ni; i += 5 {
+		jpos[i] = ipos[i] // coincident pairs
+	}
+	ipos[3] = vec.V3{X: 250, Y: -1, Z: 0} // clamped by the [-100, 100) grid
+	jpos[7] = vec.V3{X: 0, Y: -300, Z: 40}
+
+	cfg := DefaultConfig()
+	cfg.Fault = &FaultModel{Seed: 5, JMemBitFlipRate: 1, StuckPipeRate: 1}
+	run := func(width int) ([]vec.V3, []float64, Counters, FaultStats) {
+		sys, err := NewSystem(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := sys.SetScale(-100, 100); err != nil {
+			t.Fatal(err)
+		}
+		if err := sys.SetEps(0.01); err != nil {
+			t.Fatal(err)
+		}
+		acc := make([]vec.V3, ni)
+		pot := make([]float64, ni)
+		for c := 0; c < calls; c++ {
+			if err := sys.compute(ipos, jpos, jm, acc, pot, true, width); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return acc, pot, sys.Counters(), sys.FaultStats()
+	}
+
+	acc1, pot1, cnt1, fs1 := run(1)
+	if fs1.JMemBitFlips != calls || fs1.StuckPipeCalls != calls || cnt1.RangeClamps == 0 {
+		t.Fatalf("batch misses a fault path: faults %+v, clamps %d", fs1, cnt1.RangeClamps)
+	}
+	for _, w := range []int{2, 3, 7, ni, ni + 5} {
+		acc, pot, cnt, fs := run(w)
+		for i := range acc {
+			a, b := acc[i], acc1[i]
+			if math.Float64bits(a.X) != math.Float64bits(b.X) ||
+				math.Float64bits(a.Y) != math.Float64bits(b.Y) ||
+				math.Float64bits(a.Z) != math.Float64bits(b.Z) ||
+				math.Float64bits(pot[i]) != math.Float64bits(pot1[i]) {
+				t.Fatalf("width %d: i=%d acc %v pot %v, serial acc %v pot %v", w, i, a, pot[i], b, pot1[i])
+			}
+		}
+		if cnt != cnt1 {
+			t.Errorf("width %d: counters %+v, serial %+v", w, cnt, cnt1)
+		}
+		if fs != fs1 {
+			t.Errorf("width %d: fault stats %+v, serial %+v", w, fs, fs1)
+		}
+	}
+}

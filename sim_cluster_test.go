@@ -101,3 +101,40 @@ func TestSimulationClusterTelemetry(t *testing.T) {
 		t.Fatalf("second Close: %v", err)
 	}
 }
+
+// TestClusterResetCountersZeroesCriticalPath: ResetCounters must zero
+// the critical-path hardware time with the aggregate counters. It once
+// kept the pre-reset time, so after a reset CriticalHWSeconds exceeded
+// the zeroed aggregate Counters().HWSeconds() and skewed the parallel
+// efficiency ratio built from the two.
+func TestClusterResetCountersZeroesCriticalPath(t *testing.T) {
+	for _, shards := range []int{1, 2} {
+		s := Plummer(512, 1, 1, 1, 5)
+		sim, err := NewSimulation(s, Config{
+			Theta: 0.6, Ncrit: 256, G: 1, Eps: 0.05, DT: 0.005,
+			Engine: EngineGRAPE5, Guard: true, Shards: shards,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer sim.Close()
+		if err := sim.Prime(); err != nil {
+			t.Fatal(err)
+		}
+		if err := sim.Run(2); err != nil {
+			t.Fatal(err)
+		}
+		cl := sim.Cluster()
+		cl.ResetCounters()
+		if crit := cl.CriticalHWSeconds(); crit != 0 {
+			t.Errorf("K=%d: critical-path hw time %v right after ResetCounters", shards, crit)
+		}
+		if err := sim.Step(); err != nil {
+			t.Fatal(err)
+		}
+		crit, agg := cl.CriticalHWSeconds(), cl.Counters().HWSeconds()
+		if !(crit > 0) || crit > agg*(1+1e-9) {
+			t.Errorf("K=%d: critical-path hw time %v after one step not in (0, aggregate %v]", shards, crit, agg)
+		}
+	}
+}
